@@ -331,7 +331,10 @@ let b4 () =
         let t0 = Unix.gettimeofday () in
         let tagged = Parallel.randomize_db_tagged pool scheme rng db in
         let noisy = Db.create ~universe (Array.map snd tagged) in
-        let counts = Parallel.support_counts pool noisy candidates in
+        let counts =
+          Parallel.support_counts_vertical pool (Vertical.of_db noisy)
+            candidates
+        in
         (Unix.gettimeofday () -. t0, tagged, counts))
   in
   let same_tagged a b =
@@ -652,7 +655,7 @@ let b9 () =
 
 let b10 () =
   header
-    "B10 Scaling efficiency: 2-D grid counting, chunked vs stealing (QUEST)";
+    "B10 Scaling efficiency: 2-D grid counting on the chunked pool (QUEST)";
   Printf.printf
     "(%d core(s) visible to the OCaml runtime; on a single-core box only\n\
     \ determinism is demonstrable here — speedup needs a multicore run)\n"
@@ -669,7 +672,7 @@ let b10 () =
   in
   (* Transactions sorted big-first: item occurrences pile into the low
      tid windows, so per-cell sparse-probe cost falls off steeply along
-     the word axis — the skewed load shape stealing exists for. *)
+     the word axis — a skewed load for the shared queue to balance. *)
   let skewed db =
     let txs = Array.copy (Db.transactions db) in
     Array.sort
@@ -706,60 +709,32 @@ let b10 () =
       let reference = Vertical.support_counts vt candidates in
       Printf.printf "  [%s] words=%d level-2 candidates=%d\n" label
         (Vertical.word_count vt) (List.length candidates);
-      Printf.printf "  %-10s %-6s %-12s %-9s %s\n" "sched" "jobs" "seconds"
-        "speedup" "identical to sequential";
+      Printf.printf "  %-6s %-12s %-9s %s\n" "jobs" "seconds" "speedup"
+        "identical to sequential";
       (* Small cells on purpose: ~7 word windows x ~4 candidate columns
-         gives the schedulers an actual grid to contend over even at this
+         gives the pool an actual grid to spread even at this
          bench-friendly database size. *)
       let chunk = 12 and cand_chunk = 64 in
       let base = ref None in
       List.iter
-        (fun (sname, sched) ->
-          List.iter
-            (fun jobs ->
-              Pool.with_pool ~jobs (fun pool ->
-                  let count () =
-                    Parallel.support_counts_vertical pool ~chunk ~cand_chunk
-                      ~sched vt candidates
-                  in
-                  let got = count () in
-                  let dt = time (fun () -> ignore (count ())) in
-                  if !base = None then base := Some dt;
-                  emit ~section:"b10"
-                    ~name:(Printf.sprintf "count/%s/%s" label sname)
-                    ~jobs ~ns_per_op:(dt *. 1e9) ~throughput:(1. /. dt) ();
-                  Printf.printf "  %-10s %-6d %-12.6f %-9s %s\n" sname jobs dt
-                    (Printf.sprintf "%.2fx" (Option.get !base /. dt))
-                    (if got = reference then "yes"
-                     else "NO — DETERMINISM VIOLATION")))
-            [ 1; 2; 4; 8 ])
-        [ ("chunked", Pool.Chunked); ("stealing", Pool.Stealing) ])
-    datasets;
-  (* Kernel specialization: same dense AND/popcount loop with and without
-     bounds checks, sequential, so the delta is the checks alone. *)
-  let db = quest ~universe:100 ~avg:20. in
-  let vt = Vertical.load db in
-  let scratch = Vertical.make_scratch vt in
-  let frequent1 = List.map fst (Apriori.mine db ~min_support ~max_size:1) in
-  let candidates = Apriori.candidates_from ~frequent:frequent1 ~size:2 in
-  let prepared = Vertical.prepare candidates in
-  let safe_dt =
-    time (fun () -> ignore (Vertical.count_into ~scratch vt prepared))
-  in
-  let unsafe_dt =
-    Fun.protect
-      ~finally:(fun () -> Vertical.set_unsafe_kernels false)
-      (fun () ->
-        Vertical.set_unsafe_kernels true;
-        time (fun () -> ignore (Vertical.count_into ~scratch vt prepared)))
-  in
-  emit ~section:"b10" ~name:"kernels/safe" ~ns_per_op:(safe_dt *. 1e9)
-    ~throughput:(1. /. safe_dt) ();
-  emit ~section:"b10" ~name:"kernels/unsafe" ~ns_per_op:(unsafe_dt *. 1e9)
-    ~throughput:(1. /. unsafe_dt) ();
-  Printf.printf
-    "  kernels (dense, sequential): safe %.6fs   unsafe %.6fs   (%.2fx)\n"
-    safe_dt unsafe_dt (safe_dt /. unsafe_dt)
+        (fun jobs ->
+          Pool.with_pool ~jobs (fun pool ->
+              let count () =
+                Parallel.support_counts_vertical pool ~chunk ~cand_chunk vt
+                  candidates
+              in
+              let got = count () in
+              let dt = time (fun () -> ignore (count ())) in
+              if !base = None then base := Some dt;
+              emit ~section:"b10"
+                ~name:(Printf.sprintf "count/%s/chunked" label)
+                ~jobs ~ns_per_op:(dt *. 1e9) ~throughput:(1. /. dt) ();
+              Printf.printf "  %-6d %-12.6f %-9s %s\n" jobs dt
+                (Printf.sprintf "%.2fx" (Option.get !base /. dt))
+                (if got = reference then "yes"
+                 else "NO — DETERMINISM VIOLATION")))
+        [ 1; 2; 4; 8 ])
+    datasets
 
 let b11 () =
   header "B11 Telemetry cost: scrape rendering and admin-plane ingest overhead";

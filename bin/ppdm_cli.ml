@@ -168,31 +168,6 @@ let jobs_term =
            job count for a fixed seed (randomization is seeded per chunk, \
            not per domain).")
 
-let sched_term =
-  let sched_conv =
-    Arg.enum [ ("chunked", Pool.Chunked); ("stealing", Pool.Stealing) ]
-  in
-  Arg.(
-    value & opt sched_conv Pool.Chunked
-    & info [ "sched" ]
-        ~doc:
-          "Pool scheduler: $(b,chunked) (workers pull tasks from a shared \
-           queue) or $(b,stealing) (per-worker deques with work stealing \
-           for skewed task costs).  Output is byte-identical under either \
-           scheduler — tasks and their reduction order never depend on \
-           the schedule.")
-
-let unsafe_kernels_term =
-  Arg.(
-    value & flag
-    & info [ "unsafe-kernels" ]
-        ~doc:
-          "Use the bounds-check-free counting kernels in the vertical \
-           engine.  Counts are identical (the differential test suite \
-           enforces it); only the per-word bounds checks go.")
-
-let set_kernels unsafe = if unsafe then Vertical.set_unsafe_kernels true
-
 (* ----------------------------------------------------------------- gen *)
 
 let gen_cmd =
@@ -359,17 +334,16 @@ let minsup_term =
 let maxsize_term =
   Arg.(value & opt int 3 & info [ "max-size" ] ~doc:"Largest itemset size explored.")
 
-(* The counter flag accepts the three exact engines plus a parameterized
+(* The counter flag accepts the exact engines plus a parameterized
    sampled spec; the sampling seed is supplied separately (--seed), so
    the spec parses to an intermediate form resolved at run time. *)
-type counter_spec = Counter_exact of Apriori.counter | Counter_sampled of float
+type counter_spec = Counter_vertical | Counter_auto | Counter_sampled of float
 
 let counter_conv =
   let parse s =
     match String.lowercase_ascii s with
-    | "trie" -> Ok (Counter_exact Apriori.Trie)
-    | "vertical" -> Ok (Counter_exact Apriori.Vertical)
-    | "auto" -> Ok (Counter_exact Apriori.Auto)
+    | "vertical" -> Ok Counter_vertical
+    | "auto" -> Ok Counter_auto
     | spec when String.length spec > 8 && String.sub spec 0 8 = "sampled:" -> (
         let frac = String.sub spec 8 (String.length spec - 8) in
         match float_of_string_opt frac with
@@ -382,22 +356,20 @@ let counter_conv =
     | _ ->
         Error
           (`Msg
-            (Printf.sprintf
-               "counter %S must be trie, vertical, auto, or sampled:F" s))
+            (Printf.sprintf "counter %S must be vertical, auto, or sampled:F"
+               s))
   in
   let print ppf = function
-    | Counter_exact Apriori.Trie -> Format.pp_print_string ppf "trie"
-    | Counter_exact Apriori.Vertical -> Format.pp_print_string ppf "vertical"
-    | Counter_exact Apriori.Auto -> Format.pp_print_string ppf "auto"
-    | Counter_exact (Apriori.Sampled { fraction; _ }) | Counter_sampled fraction
-      ->
-        Format.fprintf ppf "sampled:%g" fraction
+    | Counter_vertical -> Format.pp_print_string ppf "vertical"
+    | Counter_auto -> Format.pp_print_string ppf "auto"
+    | Counter_sampled fraction -> Format.fprintf ppf "sampled:%g" fraction
   in
   Arg.conv (parse, print)
 
 let resolve_counter_spec spec ~seed =
   match spec with
-  | Counter_exact c -> c
+  | Counter_vertical -> Apriori.Vertical
+  | Counter_auto -> Apriori.Auto
   | Counter_sampled fraction -> Apriori.Sampled { fraction; seed }
 
 (* The mined output is byte-identical across exact engines, so the
@@ -405,12 +377,12 @@ let resolve_counter_spec spec ~seed =
 let counter_term =
   Arg.(
     value
-    & opt counter_conv (Counter_exact Apriori.Auto)
+    & opt counter_conv Counter_auto
     & info [ "counter" ]
         ~doc:
-          "Support-counting engine for Apriori: $(b,trie) (horizontal hash \
-           trie), $(b,vertical) (word-level tid bitmaps), $(b,auto) \
-           (vertical once the database fills a bitmap word), or \
+          "Support-counting engine for Apriori: $(b,vertical) (word-level \
+           tid bitmaps), $(b,auto) (vertical once the database fills a \
+           bitmap word, the sequential hash trie below that), or \
            $(b,sampled:F) (count levels >= 2 on a deterministic seeded \
            uniform sample covering fraction F of the transactions — \
            faster, with known sampling noise; F = 1.0 is byte-identical \
@@ -422,19 +394,18 @@ let mine_cmd =
     Arg.(value & opt (some float) None & info [ "rules" ] ~doc:"Also emit rules at this confidence.")
   in
   let run input dbfile min_support max_size min_confidence counter_spec seed
-      jobs sched unsafe stats trace =
+      jobs stats trace =
     let source = resolve_source ~who:"mine" input dbfile in
     (match (source, counter_spec) with
-    | `Columnar _, (Counter_exact Apriori.Trie | Counter_sampled _) ->
-        (* the trie walks transactions and the sampler plans over an
-           in-RAM transpose; columnar input counts on its containers *)
+    | `Columnar _, Counter_sampled _ ->
+        (* the sampler plans over an in-RAM transpose; columnar input
+           counts on its containers *)
         prerr_endline
           "mine: --db supports only the vertical/auto counters (use --in \
-           for trie or sampled counting)";
+           for sampled counting)";
         exit 2
     | _ -> ());
     with_obs stats trace @@ fun () ->
-    set_kernels unsafe;
     let n, frequent =
       match source with
       | `Row path ->
@@ -442,15 +413,13 @@ let mine_cmd =
           let counter = resolve_counter_spec counter_spec ~seed in
           ( Db.length db,
             Pool.with_pool ~jobs (fun pool ->
-                Parallel.apriori_mine pool ~sched db ~min_support ~max_size
-                  ~counter) )
+                Parallel.apriori_mine pool db ~min_support ~max_size ~counter) )
       | `Columnar path ->
           with_colfile ~who:"mine" path @@ fun cf ->
           let vt = Vertical.of_colfile cf in
           ( Vertical.length vt,
             Pool.with_pool ~jobs (fun pool ->
-                Parallel.apriori_mine_vertical pool ~sched vt ~min_support
-                  ~max_size) )
+                Parallel.apriori_mine_vertical pool vt ~min_support ~max_size) )
     in
     Printf.printf "%d frequent itemsets at minsup %.3f:\n" (List.length frequent) min_support;
     List.iter
@@ -469,17 +438,16 @@ let mine_cmd =
     (Cmd.info "mine" ~doc:"Non-private Apriori over a database file.")
     Term.(
       const run $ in_opt_term $ db_term $ minsup_term $ maxsize_term
-      $ min_confidence $ counter_term $ seed_term $ jobs_term $ sched_term
-      $ unsafe_kernels_term $ stats_term $ trace_term)
+      $ min_confidence $ counter_term $ seed_term $ jobs_term $ stats_term
+      $ trace_term)
 
 (* -------------------------------------------------------------- private *)
 
 let private_cmd =
-  let run input dbfile spec min_support max_size counter_spec seed jobs sched
-      unsafe stats trace =
+  let run input dbfile spec min_support max_size counter_spec seed jobs stats
+      trace =
     let source = resolve_source ~who:"private" input dbfile in
     with_obs stats trace @@ fun () ->
-    set_kernels unsafe;
     let db =
       match source with
       | `Row path -> Io.read_file path
@@ -495,8 +463,7 @@ let private_cmd =
     let data, truth =
       Pool.with_pool ~jobs (fun pool ->
           ( Parallel.randomize_db_tagged pool scheme rng db,
-            Parallel.apriori_mine pool ~sched db ~min_support ~max_size ~counter
-          ))
+            Parallel.apriori_mine pool db ~min_support ~max_size ~counter ))
     in
     let mined = Ppmining.mine ~scheme ~data ~min_support ~max_size () in
     Printf.printf "operator: %s\n" (Randomizer.name scheme);
@@ -517,8 +484,7 @@ let private_cmd =
     Term.(
       const run $ in_opt_term $ db_term $ operator_term $ minsup_term
       $ maxsize_term
-      $ counter_term $ seed_term $ jobs_term $ sched_term
-      $ unsafe_kernels_term $ stats_term $ trace_term)
+      $ counter_term $ seed_term $ jobs_term $ stats_term $ trace_term)
 
 (* -------------------------------------------------------------- recover *)
 
@@ -581,7 +547,7 @@ let recover_cmd =
     let itemset = Itemset.of_list items in
     let e =
       match counter_spec with
-      | Counter_exact _ ->
+      | Counter_vertical | Counter_auto ->
           (* The exact engines all read every row here; the flag is
              accepted for CLI symmetry with mine/private. *)
           Estimator.estimate ~scheme ~data ~itemset
@@ -798,7 +764,7 @@ let serve_cmd =
       & info [ "sampler-period-ms" ]
           ~doc:"Admin sampler period in milliseconds (min 1).")
   in
-  let run port jobs sched shards batch queue_capacity max_frame spec universe
+  let run port jobs shards batch queue_capacity max_frame spec universe
       itemsets singletons admin_port sampler_period stats trace =
     with_obs stats trace @@ fun () ->
     let scheme = scheme_of_spec ~universe spec in
@@ -816,7 +782,6 @@ let serve_cmd =
         (Ppdm_server.Serve.default_config ~scheme ~itemsets:tracked) with
         port;
         jobs = max 1 jobs;
-        sched;
         shards;
         batch;
         queue_capacity;
@@ -853,7 +818,7 @@ let serve_cmd =
           live support estimates.  Stops when a client sends a shutdown \
           frame.")
     Term.(
-      const run $ port_term $ jobs_term $ sched_term $ shards $ batch
+      const run $ port_term $ jobs_term $ shards $ batch
       $ queue_capacity $ max_frame $ operator_term $ universe $ itemsets
       $ singletons $ admin_port $ sampler_period $ stats_term $ trace_term)
 
@@ -884,7 +849,7 @@ let load_cmd =
       prerr_endline "load: clients < 1";
       exit 2
     end;
-    let ok =
+    let load () =
       with_obs stats trace @@ fun () ->
       let scheme = scheme_of_spec ~universe spec in
       let rng = Rng.create ~seed () in
@@ -914,8 +879,12 @@ let load_cmd =
                report above has been routed into the shard queues. *)
             ignore (Ppdm_server.Client.snapshot c ~flush:false))
       in
+      (* Join every client before re-raising the first failure, so no
+         domain outlives the command. *)
       Array.init clients (fun i -> Domain.spawn (drive (slice i)))
-      |> Array.iter Domain.join;
+      |> Array.map (fun d ->
+             match Domain.join d with () -> None | exception e -> Some e)
+      |> Array.iter (Option.iter raise);
       let ctl = Ppdm_server.Client.connect ~port () in
       ignore (Ppdm_server.Client.handshake ctl ~sizes:[] ());
       let json = Ppdm_server.Client.snapshot ctl ~flush:true in
@@ -927,7 +896,12 @@ let load_cmd =
       Ppdm_server.Client.close ctl;
       Result.is_ok parsed
     in
-    if not ok then exit 1
+    match load () with
+    | ok -> if not ok then exit 1
+    | exception Ppdm_server.Client.Connect_failed { port; error } ->
+        Printf.eprintf "load: cannot connect to 127.0.0.1:%d: %s\n" port
+          (Unix.error_message error);
+        exit 1
   in
   Cmd.v
     (Cmd.info "load"

@@ -2,7 +2,7 @@ open Ppdm_prng
 open Ppdm_data
 open Ppdm_runtime
 
-let pool_error_propagates ?sched ~jobs ~k ~n () =
+let pool_error_propagates ~jobs ~k ~n () =
   if k < 0 || k >= n then invalid_arg "Fault.pool_error_propagates: k outside [0, n)";
   Pool.with_pool ~jobs (fun pool ->
       let ran = Array.make n false in
@@ -10,7 +10,7 @@ let pool_error_propagates ?sched ~jobs ~k ~n () =
         Fun.protect ~finally:Pool.clear_fault_injection (fun () ->
             Pool.inject_task_failure ~k;
             match
-              Pool.run ?sched pool
+              Pool.run pool
                 (Array.init n (fun i -> fun () -> ran.(i) <- true))
             with
             | _ -> Error "injected fault did not surface"
@@ -35,78 +35,11 @@ let pool_error_propagates ?sched ~jobs ~k ~n () =
       | Error _ as e -> e
       | Ok () -> (
           (* the pool must remain usable: workers never die *)
-          match Pool.run ?sched pool (Array.init 4 (fun i -> fun () -> i * i)) with
+          match Pool.run pool (Array.init 4 (fun i -> fun () -> i * i)) with
           | [| 0; 1; 4; 9 |] -> Ok ()
           | _ -> Error "pool returned wrong results after a fault"
           | exception e ->
               Error ("pool unusable after a fault: " ^ Printexc.to_string e)))
-
-(* The stealing scheduler gives each of the [jobs] workers a contiguous
-   slice of 3 tasks; worker 0's slice is {0, 1, 2}.  Task 0 parks its
-   owner until task 1 runs, thieves take a victim's tasks strictly
-   back-to-front, and worker 0 can only reach task 2 after finishing
-   tasks 0 and 1 — so in every interleaving the armed task 2 executes as
-   a {e stolen} cell.  The assertions are the full failure contract: the
-   fault surfaces as [Injected_fault], every sibling ran (quiescence —
-   the batch drained even though a stolen cell failed), and the pool
-   still executes a clean stealing batch afterwards. *)
-let stealing_fault_in_stolen_cell ~jobs =
-  if jobs < 2 then
-    invalid_arg "Fault.stealing_fault_in_stolen_cell: jobs must be >= 2";
-  Pool.with_pool ~jobs (fun pool ->
-      let n = 3 * jobs in
-      let unblock = Atomic.make false in
-      let timed_out = Atomic.make false in
-      let ran = Array.make n false in
-      let task i () =
-        if i = 0 then begin
-          let deadline = Unix.gettimeofday () +. 5.0 in
-          while (not (Atomic.get unblock)) && Unix.gettimeofday () < deadline do
-            Domain.cpu_relax ()
-          done;
-          if not (Atomic.get unblock) then Atomic.set timed_out true
-        end
-        else if i = 1 then Atomic.set unblock true;
-        ran.(i) <- true
-      in
-      let first =
-        Fun.protect ~finally:Pool.clear_fault_injection (fun () ->
-            Pool.inject_task_failure ~k:2;
-            match Pool.run ~sched:Pool.Stealing pool (Array.init n task) with
-            | _ -> Error "injected fault did not surface"
-            | exception Pool.Injected_fault _ ->
-                if Atomic.get timed_out then
-                  Error "no steal occurred: the parked owner was never released"
-                else if ran.(2) then Error "the armed task ran its body anyway"
-                else begin
-                  let missing =
-                    List.filter
-                      (fun i -> i <> 2 && not ran.(i))
-                      (List.init n Fun.id)
-                  in
-                  if missing <> [] then
-                    Error
-                      (Printf.sprintf "tasks lost after a stolen-cell fault: %s"
-                         (String.concat ","
-                            (List.map string_of_int missing)))
-                  else Ok ()
-                end
-            | exception e ->
-                Error ("unexpected exception: " ^ Printexc.to_string e))
-      in
-      match first with
-      | Error _ as e -> e
-      | Ok () -> (
-          match
-            Pool.run ~sched:Pool.Stealing pool
-              (Array.init 4 (fun i -> fun () -> i * i))
-          with
-          | [| 0; 1; 4; 9 |] -> Ok ()
-          | _ -> Error "pool returned wrong results after a stolen-cell fault"
-          | exception e ->
-              Error
-                ("pool unusable after a stolen-cell fault: "
-                ^ Printexc.to_string e)))
 
 let map_reduce_fault_no_partial ~jobs =
   Pool.with_pool ~jobs (fun pool ->
@@ -187,14 +120,14 @@ open Ppdm
    snapshot, i.e. a misbehaving client took down nothing but itself. *)
 let server_scheme = Randomizer.uniform ~universe:16 ~p_keep:0.7 ~p_add:0.05
 
-let with_server f =
+let with_server ?(jobs = 2) f =
   let server =
     Serve.start
       {
         (Serve.default_config ~scheme:server_scheme
            ~itemsets:[ Itemset.of_list [ 0; 1 ]; Itemset.of_list [ 2 ] ])
         with
-        jobs = 2;
+        jobs;
         shards = 2;
         batch = 8;
       }
@@ -532,6 +465,34 @@ let admin_sampler_during_quiesce () =
           | Error _ as e -> e
       in
       go 10)
+
+(* A client that disconnects while queued behind a busy worker.  With
+   one session worker, an open reporting session holds it; a second
+   client sends a control hello and a burst of snapshot requests, then
+   closes before it is served.  When the first session ends, the worker
+   answers the dead socket: those writes fail with EPIPE, which must end
+   only that session.  The server keeps serving, and its flushed
+   estimates equal a sequential fold of the acknowledged reports. *)
+let server_queued_client_disconnect () =
+  with_server ~jobs:1 (fun server ->
+      with_client server (fun busy ->
+          ignore
+            (Sclient.handshake busy ~scheme:server_scheme ~sizes:[ 1; 2; 3 ] ());
+          Array.iter (fun (sz, y) -> Sclient.report busy ~size:sz y) admin_reports;
+          (* the snapshot reply acknowledges every report above *)
+          ignore (Sclient.snapshot busy ~flush:false);
+          with_client server (fun queued ->
+              Sclient.send queued
+                (Wire.Hello
+                   { version = Wire.protocol_version; sizes = []; scheme = "" });
+              for _ = 1 to 50 do
+                Sclient.send queued (Wire.Snapshot_request { flush = false })
+              done));
+      (* the fresh session below queues behind the dead one, so reaching
+         it proves the worker survived answering a closed socket *)
+      match still_serving server with
+      | Error _ as e -> e
+      | Ok () -> data_plane_identical server)
 
 let io_fimi_truncation_is_silent () =
   let db =

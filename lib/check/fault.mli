@@ -9,21 +9,13 @@
     checks. *)
 
 val pool_error_propagates :
-  ?sched:Ppdm_runtime.Pool.sched -> jobs:int -> k:int -> n:int -> unit ->
-  (unit, string) result
+  jobs:int -> k:int -> n:int -> unit -> (unit, string) result
 (** Run a batch of [n] tasks on a [jobs]-domain pool with the [k]-th
-    armed to fail, under the given scheduler (default chunked).  Asserts:
+    armed to fail.  Asserts:
     {!Ppdm_runtime.Pool.Injected_fault} reaches the caller; every other
     task ran to completion (no structural cancellation); and the pool
     still executes a clean follow-up batch (workers survive).  Requires
     [0 <= k < n]. *)
-
-val stealing_fault_in_stolen_cell : jobs:int -> (unit, string) result
-(** Force the armed task to execute as a {e stolen} cell under the
-    stealing scheduler (the owner of its deque is parked until after the
-    back-first steal order has taken it), and assert the same contract:
-    the fault surfaces, the batch quiesces with every sibling completed,
-    and the pool survives.  Requires [jobs >= 2]. *)
 
 val map_reduce_fault_no_partial : jobs:int -> (unit, string) result
 (** Arm a fault at a middle chunk of a [map_reduce] and assert the call
@@ -109,3 +101,10 @@ val admin_sampler_during_quiesce : unit -> (unit, string) result
 (** With the sampler ticking every 1ms, repeated flushed snapshots
     (quiesce barriers) all equal the sequential fold — sampling reads
     never perturb the accumulators. *)
+
+val server_queued_client_disconnect : unit -> (unit, string) result
+(** On a one-worker server, a client that queues behind a busy session
+    (a control hello plus 50 snapshot requests) and closes before it is
+    served: answering its dead socket ends only that session.  A fresh
+    session is then served, and the flushed estimates are bit-identical
+    to a sequential fold of the acknowledged reports. *)

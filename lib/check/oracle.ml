@@ -46,38 +46,9 @@ let parallel_miners ?max_size pool =
         Ppdm_runtime.Parallel.apriori_mine_vertical pool ?max_size
           (Vertical.compress (Vertical.of_db db))
           ~min_support );
-    ( "parallel-eclat/j" ^ j,
-      fun db ~min_support ->
-        Ppdm_runtime.Parallel.eclat_mine pool ?max_size db ~min_support );
     ( "parallel-apriori-sampled-1.0/j" ^ j,
       fun db ~min_support ->
         Ppdm_runtime.Parallel.apriori_mine pool ?max_size
-          ~counter:(Apriori.Sampled { fraction = 1.0; seed = 0 })
-          db ~min_support );
-    (* the same engines under the work-stealing scheduler: execution
-       order changes, the reduction order (and so the output) must not *)
-    ( "parallel-apriori-stealing/j" ^ j,
-      fun db ~min_support ->
-        Ppdm_runtime.Parallel.apriori_mine pool ~sched:Ppdm_runtime.Pool.Stealing
-          ?max_size db ~min_support );
-    ( "parallel-apriori-vertical-stealing/j" ^ j,
-      fun db ~min_support ->
-        Ppdm_runtime.Parallel.apriori_mine pool ~sched:Ppdm_runtime.Pool.Stealing
-          ?max_size ~counter:Apriori.Vertical db ~min_support );
-    ( "parallel-apriori-columnar-stealing/j" ^ j,
-      fun db ~min_support ->
-        Ppdm_runtime.Parallel.apriori_mine_vertical pool
-          ~sched:Ppdm_runtime.Pool.Stealing ?max_size
-          (Vertical.compress (Vertical.of_db db))
-          ~min_support );
-    ( "parallel-eclat-stealing/j" ^ j,
-      fun db ~min_support ->
-        Ppdm_runtime.Parallel.eclat_mine pool ~sched:Ppdm_runtime.Pool.Stealing
-          ?max_size db ~min_support );
-    ( "parallel-apriori-sampled-1.0-stealing/j" ^ j,
-      fun db ~min_support ->
-        Ppdm_runtime.Parallel.apriori_mine pool ~sched:Ppdm_runtime.Pool.Stealing
-          ?max_size
           ~counter:(Apriori.Sampled { fraction = 1.0; seed = 0 })
           db ~min_support );
   ]

@@ -18,9 +18,9 @@ val sequential_miners : ?max_size:int -> unit -> miner list
     bitmap engine), Eclat, and FP-growth. *)
 
 val parallel_miners : ?max_size:int -> Ppdm_runtime.Pool.t -> miner list
-(** The parallel Apriori (trie-sharded and 2-D-grid-sharded vertical)
-    and Eclat drivers on the given pool, labelled with its job count —
-    each under both the chunked and the work-stealing scheduler. *)
+(** The parallel Apriori drivers on the given pool (the [Auto] default,
+    grid-sharded vertical, compressed columnar, and sampled at F = 1.0),
+    labelled with its job count. *)
 
 val canonical : (Itemset.t * int) list -> string
 (** Sorted ({!Itemset.compare}) and printed: the byte-comparable form the

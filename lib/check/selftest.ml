@@ -193,7 +193,7 @@ let combined_sigma_check ~seed () =
              p_floor)
       else Ok ()
 
-(* ---------------------------------------------- scheduler determinism *)
+(* --------------------------------------------------- grid determinism *)
 
 (* All 1- and 2-itemsets over the universe: a candidate batch wide enough
    to cut into several columns once [cand_chunk] is forced small. *)
@@ -208,9 +208,9 @@ let small_candidates u =
   singles @ pairs
 
 (* Randomized grid shapes: tiny word and candidate chunks cut a random
-   database into many cells, and both schedulers at every job count must
+   database into many cells, and the pool at every job count must
    reproduce the sequential engine byte for byte. *)
-let scheduler_identity_check ~seed ~count pools =
+let grid_identity_check ~seed ~count pools =
   let case =
     Gen.pair
       (Gen.db ~max_universe:10 ~max_transactions:40 ())
@@ -218,7 +218,7 @@ let scheduler_identity_check ~seed ~count pools =
   in
   prop
     (Property.check_result ~seed ~count
-       ~name:"grid counts: stealing == chunked == sequential" case
+       ~name:"grid counts: pool == sequential" case
        (fun (db, (word_chunk, cand_chunk)) ->
          let u = Db.universe db in
          if u = 0 then Ok ()
@@ -240,23 +240,18 @@ let scheduler_identity_check ~seed ~count pools =
                         label reference label got)
            in
            go
-             (List.concat_map
+             (List.map
                 (fun pool ->
-                  let j = string_of_int (Pool.jobs pool) in
-                  List.map
-                    (fun (sname, sched) ->
-                      ( sname ^ "/j" ^ j,
-                        Parallel.support_counts_vertical pool ~chunk:word_chunk
-                          ~cand_chunk ~sched vt candidates ))
-                    [ ("chunked", Pool.Chunked); ("stealing", Pool.Stealing) ])
+                  ( "j" ^ string_of_int (Pool.jobs pool),
+                    Parallel.support_counts_vertical pool ~chunk:word_chunk
+                      ~cand_chunk vt candidates ))
                 pools)
          end))
 
-(* Skewed cell costs: task i costs O(i^2), so the stealing workers'
-   contiguous slices are heavily imbalanced and the tail of the batch
-   gets raided — and the result array must still come back in task
+(* Skewed cell costs: task i costs O(i^2), so tasks finish far out of
+   submission order — and the result array must still come back in task
    order, equal to a sequential evaluation. *)
-let skewed_schedulers_check pools =
+let skewed_cells_check pools =
   let n = 48 in
   let work i =
     let acc = ref 0 in
@@ -273,15 +268,10 @@ let skewed_schedulers_check pools =
         else Error (label ^ " returned different results on skewed tasks")
   in
   go
-    (List.concat_map
+    (List.map
        (fun pool ->
-         let j = string_of_int (Pool.jobs pool) in
-         List.map
-           (fun (sname, sched) ->
-             ( sname ^ "/j" ^ j,
-               Pool.run ~sched pool (Array.init n (fun i -> fun () -> work i))
-             ))
-           [ ("chunked", Pool.Chunked); ("stealing", Pool.Stealing) ])
+         ( "j" ^ string_of_int (Pool.jobs pool),
+           Pool.run pool (Array.init n (fun i -> fun () -> work i)) ))
        pools)
 
 (* ------------------------------------------------- kernel differential *)
@@ -308,64 +298,55 @@ let kernel_db n =
                 | _ -> t mod 97 = 0)
               (List.init 6 Fun.id))))
 
-(* Safe and unsafe kernels must agree with the trie reference — on the
-   full window, and window-by-window with the partials summed across a
-   word boundary and the candidate columns concatenated — for every
-   representation mix (adaptive, forced dense, forced sparse). *)
+(* The kernels must agree with the trie reference — on the full window,
+   and window-by-window with the partials summed across a word boundary
+   and the candidate columns concatenated — for every representation mix
+   (adaptive, forced dense, forced sparse, compressed). *)
 let kernel_differential_check () =
   let module V = Ppdm_mining.Vertical in
   let cands =
     small_candidates 6
     @ [ Itemset.of_list [ 0; 2; 4 ]; Itemset.of_list [ 2; 3; 4 ] ]
   in
-  let check_one ~n ~rep_label ~dense_cutoff ~compress ~unsafe =
+  let check_one ~n ~rep_label ~dense_cutoff ~compress =
     let db = kernel_db n in
     let reference = Oracle.canonical (Ppdm_mining.Count.support_counts db cands) in
     let vt = V.load ?dense_cutoff db in
     let vt = if compress then V.compress vt else vt in
-    Fun.protect
-      ~finally:(fun () -> V.set_unsafe_kernels false)
-      (fun () ->
-        V.set_unsafe_kernels unsafe;
-        let label =
-          Printf.sprintf "n=%d %s %s" n rep_label
-            (if unsafe then "unsafe" else "safe")
-        in
-        let got = Oracle.canonical (V.support_counts vt cands) in
-        if not (String.equal got reference) then
-          Error
-            (Printf.sprintf "%s: full count diverged from the trie\n  %s\n  %s"
-               label reference got)
-        else begin
-          (* split on the first word boundary and mid-batch: windowed
-             partials must sum and columns concatenate *)
-          let prepared = V.prepare cands in
-          let len = V.prepared_length prepared in
-          let wc = V.word_count vt in
-          let wsplit = min 1 wc and csplit = len / 2 in
-          let piece ~word_lo ~word_hi ~cand_lo ~cand_hi =
-            V.count_into vt ~word_lo ~word_hi ~cand_lo ~cand_hi prepared
-          in
-          let totals = Array.make len 0 in
+    let label = Printf.sprintf "n=%d %s" n rep_label in
+    let got = Oracle.canonical (V.support_counts vt cands) in
+    if not (String.equal got reference) then
+      Error
+        (Printf.sprintf "%s: full count diverged from the trie\n  %s\n  %s"
+           label reference got)
+    else begin
+      (* split on the first word boundary and mid-batch: windowed
+         partials must sum and columns concatenate *)
+      let prepared = V.prepare cands in
+      let len = V.prepared_length prepared in
+      let wc = V.word_count vt in
+      let wsplit = min 1 wc and csplit = len / 2 in
+      let totals = Array.make len 0 in
+      List.iter
+        (fun (wlo, whi) ->
           List.iter
-            (fun (wlo, whi) ->
-              List.iter
-                (fun (clo, chi) ->
-                  let part =
-                    piece ~word_lo:wlo ~word_hi:whi ~cand_lo:clo ~cand_hi:chi
-                  in
-                  Array.iteri
-                    (fun i v -> totals.(clo + i) <- totals.(clo + i) + v)
-                    part)
-                [ (0, csplit); (csplit, len) ])
-            [ (0, wsplit); (wsplit, wc) ];
-          let got_cells = Oracle.canonical (V.assemble prepared totals) in
-          if String.equal got_cells reference then Ok ()
-          else
-            Error
-              (Printf.sprintf "%s: 2-D cell sums diverged from the trie\n  %s\n  %s"
-                 label reference got_cells)
-        end)
+            (fun (clo, chi) ->
+              let part =
+                V.count_into vt ~word_lo:wlo ~word_hi:whi ~cand_lo:clo
+                  ~cand_hi:chi prepared
+              in
+              Array.iteri
+                (fun i v -> totals.(clo + i) <- totals.(clo + i) + v)
+                part)
+            [ (0, csplit); (csplit, len) ])
+        [ (0, wsplit); (wsplit, wc) ];
+      let got_cells = Oracle.canonical (V.assemble prepared totals) in
+      if String.equal got_cells reference then Ok ()
+      else
+        Error
+          (Printf.sprintf "%s: 2-D cell sums diverged from the trie\n  %s\n  %s"
+             label reference got_cells)
+    end
   in
   let reps =
     [
@@ -379,26 +360,14 @@ let kernel_differential_check () =
       ("compressed-of-sparse", Some 2.0, true);
     ]
   in
-  let rec widths = function
+  let rec go = function
     | [] -> Ok ()
-    | n :: rest ->
-        let rec by_rep = function
-          | [] -> widths rest
-          | (rep_label, dense_cutoff, compress) :: more ->
-              let rec by_mode = function
-                | [] -> by_rep more
-                | unsafe :: modes -> (
-                    match
-                      check_one ~n ~rep_label ~dense_cutoff ~compress ~unsafe
-                    with
-                    | Error _ as e -> e
-                    | Ok () -> by_mode modes)
-              in
-              by_mode [ false; true ]
-        in
-        by_rep reps
+    | (n, (rep_label, dense_cutoff, compress)) :: rest -> (
+        match check_one ~n ~rep_label ~dense_cutoff ~compress with
+        | Error _ as e -> e
+        | Ok () -> go rest)
   in
-  widths kernel_widths
+  go (List.concat_map (fun n -> List.map (fun r -> (n, r)) reps) kernel_widths)
 
 let fuzz_roundtrip_checks ~seed ~count =
   let db_gen = Gen.db ~max_universe:12 ~max_transactions:20 () in
@@ -587,7 +556,7 @@ let run ?count ?(seed = 42) ?(log = ignore) () =
       Pool.shutdown pool8)
     (fun () ->
       let pools = [ pool1; pool2; pool4 ] in
-      let sched_pools = pools @ [ pool8 ] in
+      let grid_pools = pools @ [ pool8 ] in
       let checks =
         [
           ( "generators: randomizer closed over generated inputs",
@@ -635,22 +604,16 @@ let run ?count ?(seed = 42) ?(log = ignore) () =
               sampled_sigma_check ());
           ("statistical: combined sigma honest on sampled recovery", fun () ->
               combined_sigma_check ~seed ());
-          ( "scheduler: stealing == chunked == sequential on random grids \
-             at jobs 1/2/4/8",
-            fun () -> scheduler_identity_check ~seed ~count sched_pools );
+          ( "scheduler: pool == sequential on random grids at jobs 1/2/4/8",
+            fun () -> grid_identity_check ~seed ~count grid_pools );
           ("scheduler: skewed cell costs keep task-order reduction", fun () ->
-              skewed_schedulers_check sched_pools);
-          ("kernels: safe == unsafe == trie on every width class", fun () ->
+              skewed_cells_check grid_pools);
+          ("kernels: vertical == trie on every width class", fun () ->
               kernel_differential_check ());
           ("fault: pool task failure propagates, pool survives", fun () ->
               Fault.pool_error_propagates ~jobs:4 ~k:3 ~n:16 ());
           ("fault: sequential pool degrades identically", fun () ->
               Fault.pool_error_propagates ~jobs:1 ~k:0 ~n:4 ());
-          ("fault: stealing pool degrades identically", fun () ->
-              Fault.pool_error_propagates ~sched:Pool.Stealing ~jobs:4 ~k:5
-                ~n:24 ());
-          ("fault: failure inside a stolen cell propagates, batch quiesces",
-            fun () -> Fault.stealing_fault_in_stolen_cell ~jobs:4);
           ("fault: map_reduce returns nothing partial", fun () ->
               Fault.map_reduce_fault_no_partial ~jobs:2);
           ("fault: truncated read rejected", fun () ->
@@ -706,6 +669,9 @@ let run ?count ?(seed = 42) ?(log = ignore) () =
               Fault.admin_scrape_racing_shutdown ());
           ("fault: sampler ticks during quiesce, estimates bit-identical",
             fun () -> Fault.admin_sampler_during_quiesce ());
+          ("fault: client gone while queued, server stays up, estimates \
+            bit-identical",
+            fun () -> Fault.server_queued_client_disconnect ());
         ]
         @ fuzz_roundtrip_checks ~seed ~count
       in

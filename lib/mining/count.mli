@@ -21,12 +21,6 @@ val count_transaction : t -> Itemset.t -> unit
 
 val count_db : t -> Db.t -> unit
 
-val merge_into : t -> from:t -> unit
-(** [merge_into t ~from] adds every count of [from] into [t], registering
-    any candidate [t] lacks.  [from] is unchanged (no nodes are shared).
-    Counts are sums, so sharded counting — one trie per database shard,
-    merged afterwards — yields exactly the counts of a single pass. *)
-
 val get : t -> Itemset.t -> int option
 (** Count accumulated for a candidate; [None] if it was never added. *)
 

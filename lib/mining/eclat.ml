@@ -12,8 +12,6 @@ type atoms = {
 }
 
 let atoms db ~min_support =
-  if min_support <= 0. || min_support > 1. then
-    invalid_arg "Eclat.atoms: min_support out of (0,1]";
   Ppdm_obs.Span.with_ ~name:"eclat.atoms" @@ fun () ->
   let threshold = Threshold.absolute ~n:(Db.length db) ~min_support in
   let vt = Vertical.of_db db in
@@ -37,8 +35,6 @@ let atoms db ~min_support =
     Ppdm_obs.Metrics.add "eclat.atoms.sparse" (Array.length items - dense)
   end;
   { threshold; items }
-
-let atom_count t = Array.length t.items
 
 (* DFS over prefix classes: [atoms] holds (item, tid-set, count) triples
    usable to extend the current prefix, all items greater than the
@@ -64,21 +60,15 @@ let rec dfs t cap results prefix depth atoms =
       end)
     atoms
 
-let mine_atoms ?max_size t ~lo ~hi =
-  if lo < 0 || hi > Array.length t.items || lo > hi then
-    invalid_arg "Eclat.mine_atoms: bad atom range";
+let mine_atoms ?max_size t =
   let cap = Option.value max_size ~default:max_int in
   if cap < 1 then []
   else begin
-    (* A span per atom range: the parallel driver calls this once per
-       shard, so each prefix-class batch is a slice on its worker's
-       timeline lane. *)
     Ppdm_obs.Span.with_ ~name:"eclat.extend" @@ fun () ->
     let results = ref [] in
     (* Each root atom owns its prefix class; extensions come from every
-       atom after it, so classes rooted in disjoint ranges partition the
-       output (the basis of the parallel driver). *)
-    for i = lo to hi - 1 do
+       atom after it. *)
+    for i = 0 to Array.length t.items - 1 do
       let item, tids, count = t.items.(i) in
       Ppdm_obs.Metrics.incr "eclat.patterns";
       results := (Itemset.singleton item, count) :: !results;
@@ -90,8 +80,6 @@ let mine_atoms ?max_size t ~lo ~hi =
           if joint_count >= t.threshold then
             extensions := (other, joint, joint_count) :: !extensions
         done;
-        (* The frontier of each prefix class: how evenly the DFS work is
-           cut, which is what the parallel driver load-balances over. *)
         if Ppdm_obs.Metrics.enabled () then
           Ppdm_obs.Metrics.observe "eclat.prefix_class.extensions"
             (List.length !extensions);
@@ -106,5 +94,5 @@ let mine ?max_size db ~min_support =
     invalid_arg "Eclat.mine: min_support out of (0,1]";
   Ppdm_obs.Span.with_ ~name:"eclat.mine" (fun () ->
       let t = atoms db ~min_support in
-      let results = mine_atoms ?max_size t ~lo:0 ~hi:(atom_count t) in
+      let results = mine_atoms ?max_size t in
       List.sort (fun (a, _) (b, _) -> Itemset.compare a b) results)

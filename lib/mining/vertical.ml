@@ -43,42 +43,16 @@ let compressed_items t =
 
 (* All kernels take an explicit word window [wlo, whi) (tid range
    [wlo*62, whi*62)); sparse operands come pre-restricted as an index
-   range into their tid array.
+   range into their tid array. *)
 
-   Each AND/popcount/probe kernel exists in two variants: the safe one
-   (bounds-checked array reads) and an [Array.unsafe_get]/[unsafe_set]
-   one, selected per call through the process-global [unsafe_kernels]
-   flag (off by default).  The unsafe variants elide checks that are
-   redundant by construction: [count_into] validates its word window
-   against [n_words], every dense bitmap holds exactly [n_words] words,
-   and a sparse tid is < n so [tid / 62 < n_words].  The differential
-   suite (test_vertical, `ppdm selftest`) holds both variants against
-   each other and against the Bitset reference on every width class. *)
-
-let unsafe_kernels = Atomic.make false
-let set_unsafe_kernels b = Atomic.set unsafe_kernels b
-let unsafe_kernels_enabled () = Atomic.get unsafe_kernels
-
-let and_words_card_safe a b ~wlo ~whi =
+let and_words_card a b ~wlo ~whi =
   let card = ref 0 in
   for w = wlo to whi - 1 do
     card := !card + Bitset.popcount (a.(w) land b.(w))
   done;
   !card
 
-let and_words_card_unsafe a b ~wlo ~whi =
-  let card = ref 0 in
-  for w = wlo to whi - 1 do
-    card :=
-      !card + Bitset.popcount (Array.unsafe_get a w land Array.unsafe_get b w)
-  done;
-  !card
-
-let and_words_card a b ~wlo ~whi =
-  if Atomic.get unsafe_kernels then and_words_card_unsafe a b ~wlo ~whi
-  else and_words_card_safe a b ~wlo ~whi
-
-let and_words_into_safe a b dst ~wlo ~whi =
+let and_words_into a b dst ~wlo ~whi =
   let card = ref 0 in
   for w = wlo to whi - 1 do
     let v = a.(w) land b.(w) in
@@ -87,40 +61,16 @@ let and_words_into_safe a b dst ~wlo ~whi =
   done;
   !card
 
-let and_words_into_unsafe a b dst ~wlo ~whi =
-  let card = ref 0 in
-  for w = wlo to whi - 1 do
-    let v = Array.unsafe_get a w land Array.unsafe_get b w in
-    Array.unsafe_set dst w v;
-    card := !card + Bitset.popcount v
-  done;
-  !card
-
-let and_words_into a b dst ~wlo ~whi =
-  if Atomic.get unsafe_kernels then and_words_into_unsafe a b dst ~wlo ~whi
-  else and_words_into_safe a b dst ~wlo ~whi
-
 (* Popcount of a single bitmap's window (level-1 candidates). *)
-let popcount_words_safe words ~wlo ~whi =
+let popcount_words words ~wlo ~whi =
   let card = ref 0 in
   for w = wlo to whi - 1 do
     card := !card + Bitset.popcount words.(w)
   done;
   !card
 
-let popcount_words_unsafe words ~wlo ~whi =
-  let card = ref 0 in
-  for w = wlo to whi - 1 do
-    card := !card + Bitset.popcount (Array.unsafe_get words w)
-  done;
-  !card
-
-let popcount_words words ~wlo ~whi =
-  if Atomic.get unsafe_kernels then popcount_words_unsafe words ~wlo ~whi
-  else popcount_words_safe words ~wlo ~whi
-
 (* Probe the tids [tids.(slo..shi-1)] against a bitmap. *)
-let probe_card_safe words tids ~slo ~shi =
+let probe_card words tids ~slo ~shi =
   let card = ref 0 in
   for idx = slo to shi - 1 do
     let tid = tids.(idx) in
@@ -129,24 +79,7 @@ let probe_card_safe words tids ~slo ~shi =
   done;
   !card
 
-let probe_card_unsafe words tids ~slo ~shi =
-  let card = ref 0 in
-  for idx = slo to shi - 1 do
-    let tid = Array.unsafe_get tids idx in
-    if
-      Array.unsafe_get words (tid / bits_per_word)
-      lsr (tid mod bits_per_word)
-      land 1
-      = 1
-    then incr card
-  done;
-  !card
-
-let probe_card words tids ~slo ~shi =
-  if Atomic.get unsafe_kernels then probe_card_unsafe words tids ~slo ~shi
-  else probe_card_safe words tids ~slo ~shi
-
-let probe_into_safe words tids ~slo ~shi dst =
+let probe_into words tids ~slo ~shi dst =
   let len = ref 0 in
   for idx = slo to shi - 1 do
     let tid = tids.(idx) in
@@ -157,26 +90,6 @@ let probe_into_safe words tids ~slo ~shi dst =
     end
   done;
   !len
-
-let probe_into_unsafe words tids ~slo ~shi dst =
-  let len = ref 0 in
-  for idx = slo to shi - 1 do
-    let tid = Array.unsafe_get tids idx in
-    if
-      Array.unsafe_get words (tid / bits_per_word)
-      lsr (tid mod bits_per_word)
-      land 1
-      = 1
-    then begin
-      Array.unsafe_set dst !len tid;
-      incr len
-    end
-  done;
-  !len
-
-let probe_into words tids ~slo ~shi dst =
-  if Atomic.get unsafe_kernels then probe_into_unsafe words tids ~slo ~shi dst
-  else probe_into_safe words tids ~slo ~shi dst
 
 let merge_card a ~alo ~ahi b ~blo ~bhi =
   let i = ref alo and j = ref blo and k = ref 0 in

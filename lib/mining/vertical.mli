@@ -25,12 +25,7 @@
     disjoint windows sum to the full count, and candidate columns simply
     concatenate — which is how the parallel runtime shards the engine
     over a 2-D (tid-window x candidate-range) grid without changing any
-    result.
-
-    The AND/popcount/probe inner loops exist in a safe (bounds-checked)
-    and an [Array.unsafe_get] variant; {!set_unsafe_kernels} flips the
-    process-global selection (default: safe).  Counts are identical —
-    the differential suite enforces it — only the bounds checks go. *)
+    result. *)
 
 open Ppdm_data
 
@@ -100,17 +95,6 @@ val dense_items : t -> int
 val sparse_items : t -> int
 val compressed_items : t -> int
 (** How many items landed in each representation. *)
-
-val set_unsafe_kernels : bool -> unit
-(** Select the bounds-check-free counting kernels (process-global,
-    default [false]).  Safe to flip only at a quiescent point — not while
-    another domain is counting.  Every index the unsafe kernels touch is
-    in bounds by construction ({!count_into} validates its window, dense
-    bitmaps span exactly {!word_count} words, sparse tids are below
-    {!length}), and the kernel differential tests hold both variants to
-    identical outputs on every width class. *)
-
-val unsafe_kernels_enabled : unit -> bool
 
 (** {2 Tid-sets}
 

@@ -16,7 +16,7 @@
       commutative, associative merges (counters and histograms sum, gauges
       take the max) and sorts by name, so the report does not depend on
       domain registration order — the same discipline as
-      [Stream.merge]/[Count.merge_into].
+      [Stream.merge].
 
     Take {!snapshot} (or {!reset}) only at a quiescent point — when no
     other domain is recording, e.g. after the pool has drained a batch.

@@ -24,7 +24,7 @@ let word_chunk_for ?(l2_bytes = default_l2_bytes) ~n_words () =
   max 256 (min l2_cap ((n_words + 63) / 64))
 
 (* Candidate columns bound the per-cell partial-count array (8 bytes per
-   candidate, <= 32 KiB at the cap) and give stealing its second axis:
+   candidate, <= 32 KiB at the cap) and give the pool a second axis:
    at most 16 columns of at least 512 candidates, so small batches stay
    one column (zero overhead vs the 1-D sharding) and the huge level-2
    batches split without losing prefix reuse inside a column. *)

@@ -8,8 +8,8 @@
     order — reconstructs the full-database counts exactly.  The plan is
     a pure function of [(n_words, n_candidates)] and the explicit chunk
     overrides, {e never} of the job count (the {!Pool} determinism
-    contract), so the same plan feeds the sequential, chunked, and
-    stealing schedulers and all three produce bit-identical output.
+    contract), so the same plan feeds the sequential fallback and the
+    pool at every job count, and both produce bit-identical output.
 
     Sizing (see DESIGN.md §14): word windows target an L2-cache footprint
     — three live dense windows of 8-byte words in half the budget, i.e.

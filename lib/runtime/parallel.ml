@@ -55,41 +55,6 @@ let observe_all pool ?(chunk = Pool.default_chunk) ~scheme ~itemset data =
     Stream.merge (Array.to_list (Pool.run pool tasks))
   end
 
-let support_counts pool ?chunk ?sched db candidates =
-  Ppdm_obs.Span.with_ ~name:"parallel.count" @@ fun () ->
-  let txs = Db.transactions db in
-  let n = Array.length txs in
-  (* Each chunk re-inserts the whole candidate list into its own trie, so
-     unlike randomization the default chunking scales with the input to
-     bound the number of tries; counts are sums, so this cannot change
-     the result. *)
-  let chunk =
-    match chunk with
-    | Some c ->
-        if c <= 0 then
-          invalid_arg "Parallel.support_counts: chunk must be positive";
-        c
-    | None -> max Pool.default_chunk ((n + 63) / 64)
-  in
-  let count_range ~pos ~len =
-    let t = Count.create () in
-    List.iter (Count.add t) candidates;
-    for j = pos to pos + len - 1 do
-      Count.count_transaction t txs.(j)
-    done;
-    t
-  in
-  if candidates = [] then []
-  else if n = 0 then Count.to_list (count_range ~pos:0 ~len:0)
-  else begin
-    let tries = Pool.run ?sched pool (chunk_tasks ~n ~chunk count_range) in
-    let merged = tries.(0) in
-    for i = 1 to Array.length tries - 1 do
-      Count.merge_into merged ~from:tries.(i)
-    done;
-    Count.to_list merged
-  end
-
 (* 2-D grid sharding of the vertical engine: the (bitmap-word x
    candidate) rectangle is cut into cache-sized cells by [Grid.plan] —
    word windows sized to an L2 footprint, candidate columns bounding the
@@ -98,8 +63,8 @@ let support_counts pool ?chunk ?sched db candidates =
    into the totals at its column offset, in cell-index order, gives the
    full counts (counts over disjoint tid ranges are sums of non-negative
    ints, and columns just concatenate), so the result is bit-identical
-   to the sequential count at any job count and under either scheduler. *)
-let support_counts_vertical pool ?chunk ?cand_chunk ?sched vt candidates =
+   to the sequential count at any job count. *)
+let support_counts_vertical pool ?chunk ?cand_chunk vt candidates =
   Ppdm_obs.Span.with_ ~name:"parallel.count" @@ fun () ->
   let n_words = Vertical.word_count vt in
   (match chunk with
@@ -125,7 +90,7 @@ let support_counts_vertical pool ?chunk ?cand_chunk ?sched vt candidates =
               ~cand_hi:c.Grid.cand_hi prepared)
         grid.Grid.cells
     in
-    let parts = Pool.run ?sched pool tasks in
+    let parts = Pool.run pool tasks in
     let totals = Array.make n_cands 0 in
     Array.iteri
       (fun idx part ->
@@ -143,9 +108,8 @@ let support_counts_vertical pool ?chunk ?cand_chunk ?sched vt candidates =
    columns the grid planner would cut, and the per-cell arrays are summed
    at their column offsets.  The plan itself is fixed before any task
    runs, so the raw sums — and the scaled counts — are bit-identical to
-   the sequential [Sampled.support_counts] at any job count and under
-   either scheduler. *)
-let support_counts_sampled pool ?chunk ?cand_chunk ?sched vt
+   the sequential [Sampled.support_counts] at any job count. *)
+let support_counts_sampled pool ?chunk ?cand_chunk vt
     (plan : Sampled.plan) candidates =
   Ppdm_obs.Span.with_ ~name:"parallel.count" @@ fun () ->
   let selected_words =
@@ -203,7 +167,7 @@ let support_counts_sampled pool ?chunk ?cand_chunk ?sched vt
               ~cand_hi:chi prepared)
         cells
     in
-    let parts = Pool.run ?sched pool tasks in
+    let parts = Pool.run pool tasks in
     let totals = Array.make len 0 in
     Array.iteri
       (fun idx part ->
@@ -215,48 +179,51 @@ let support_counts_sampled pool ?chunk ?cand_chunk ?sched vt
     Vertical.assemble prepared (Sampled.scale_counts plan totals)
   end
 
-let apriori_mine pool ?chunk ?sched ?max_size ?(counter = Apriori.Trie) db
+(* [?sched] is accepted and ignored: the pool has one scheduler, and the
+   parameter stays only so callers that name [Pool.Chunked] still build. *)
+let apriori_mine pool ?chunk ?sched:_ ?max_size ?(counter = Apriori.Auto) db
     ~min_support =
   if min_support <= 0. || min_support > 1. then
     invalid_arg "Parallel.apriori_mine: min_support out of (0,1]";
   Ppdm_obs.Span.with_ ~name:"parallel.apriori" @@ fun () ->
-  let count_level =
-    match Apriori.resolve_counter counter db with
-    | `Trie ->
-        Ppdm_obs.Metrics.incr "apriori.counter.trie";
-        fun candidates -> support_counts pool ?chunk ?sched db candidates
-    | `Vertical ->
-        Ppdm_obs.Metrics.incr "apriori.counter.vertical";
-        let state = lazy (Vertical.of_db db) in
-        fun candidates ->
-          support_counts_vertical pool ?chunk ?sched (Lazy.force state)
-            candidates
-    | `Sampled (fraction, seed) ->
-        Ppdm_obs.Metrics.incr "apriori.counter.sampled";
-        let state =
-          lazy
-            (let vt = Vertical.of_db db in
-             let plan =
-               Sampled.plan ~n:(Vertical.length vt)
-                 ~word_count:(Vertical.word_count vt) ~fraction ~seed ()
-             in
-             (vt, plan))
-        in
-        fun candidates ->
-          let vt, plan = Lazy.force state in
-          support_counts_sampled pool ?chunk ?sched vt plan candidates
-  in
   let threshold = Apriori.absolute_threshold ~n:(Db.length db) ~min_support in
-  Apriori.run_levels ?max_size ~threshold
-    ~level1:(fun () -> Apriori.level1 db ~threshold)
-    ~count_level ()
+  let run count_level =
+    Apriori.run_levels ?max_size ~threshold
+      ~level1:(fun () -> Apriori.level1 db ~threshold)
+      ~count_level ()
+  in
+  match Apriori.resolve_counter counter db with
+  | `Trie ->
+      (* [Auto] picks the trie only below one bitmap word of rows: there
+         is nothing to shard, so the sequential miner runs here. *)
+      Apriori.mine ?max_size ~counter:Apriori.Trie db ~min_support
+  | `Vertical ->
+      Ppdm_obs.Metrics.incr "apriori.counter.vertical";
+      let state = lazy (Vertical.of_db db) in
+      run (fun candidates ->
+          support_counts_vertical pool ?chunk (Lazy.force state) candidates)
+  | `Sampled (fraction, seed) ->
+      Ppdm_obs.Metrics.incr "apriori.counter.sampled";
+      let state =
+        lazy
+          (let vt = Vertical.of_db db in
+           let plan =
+             Sampled.plan ~n:(Vertical.length vt)
+               ~word_count:(Vertical.word_count vt) ~fraction ~seed ()
+           in
+           (vt, plan))
+      in
+      run (fun candidates ->
+          let vt, plan = Lazy.force state in
+          support_counts_sampled pool ?chunk vt plan candidates)
 
 (* Mine an already-vertical database with grid-sharded counting — the
    parallel entry point for columnar input, where no Db.t ever exists.
    Same level loop, same cell-order reduction: the output is
    bit-identical to [Apriori.mine_vertical] (and, via the differential
-   suite, to every other engine) at any job count and scheduler. *)
-let apriori_mine_vertical pool ?chunk ?cand_chunk ?sched ?max_size vt
+   suite, to every other engine) at any job count.  [?sched] is ignored,
+   as in [apriori_mine]. *)
+let apriori_mine_vertical pool ?chunk ?cand_chunk ?sched:_ ?max_size vt
     ~min_support =
   if min_support <= 0. || min_support > 1. then
     invalid_arg "Parallel.apriori_mine_vertical: min_support out of (0,1]";
@@ -269,26 +236,5 @@ let apriori_mine_vertical pool ?chunk ?cand_chunk ?sched ?max_size vt
   Apriori.run_levels ?max_size ~threshold
     ~level1:(fun () -> Apriori.level1_of_counts counts ~threshold)
     ~count_level:(fun candidates ->
-      support_counts_vertical pool ?chunk ?cand_chunk ?sched vt candidates)
+      support_counts_vertical pool ?chunk ?cand_chunk vt candidates)
     ()
-
-let eclat_mine pool ?sched ?max_size db ~min_support =
-  Ppdm_obs.Span.with_ ~name:"parallel.eclat" @@ fun () ->
-  let atoms = Eclat.atoms db ~min_support in
-  let n = Eclat.atom_count atoms in
-  if n = 0 || Option.value max_size ~default:max_int < 1 then []
-  else begin
-    (* Prefix classes shrink as the root item grows (extensions only look
-       rightwards), so over-partition relative to the job count to even
-       the load.  The output set is partition-independent. *)
-    let pieces = min n (4 * Pool.jobs pool) in
-    let tasks =
-      Array.init pieces (fun i ->
-          let lo = i * n / pieces and hi = (i + 1) * n / pieces in
-          fun () -> Eclat.mine_atoms ?max_size atoms ~lo ~hi)
-    in
-    let parts = Pool.run ?sched pool tasks in
-    List.sort
-      (fun (a, _) (b, _) -> Itemset.compare a b)
-      (List.concat (Array.to_list parts))
-  end

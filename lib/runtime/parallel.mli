@@ -3,11 +3,10 @@
 
     Every function here returns {e exactly} what its sequential
     counterpart in the same module family returns — bit-identical at any
-    job count {e and under either scheduler} ([?sched], defaulting to
-    {!Pool.Chunked}), per the {!Pool} determinism contract — so callers
-    opt into parallelism by swapping the call site, nothing else.  The
-    counting functions shard over a {!Grid} plan that depends only on
-    the data shape, never on the job count or scheduler.
+    job count, per the {!Pool} determinism contract — so callers opt into
+    parallelism by swapping the call site, nothing else.  The counting
+    functions shard over a {!Grid} plan that depends only on the data
+    shape, never on the job count.
 
     Two caveats inherited from the seeding scheme:
 
@@ -44,16 +43,8 @@ val observe_all :
     [Stream.observe_all] into one accumulator (observation is
     deterministic, so no seeding is involved). *)
 
-val support_counts :
-  Pool.t -> ?chunk:int -> ?sched:Pool.sched -> Db.t -> Itemset.t list ->
-  (Itemset.t * int) list
-(** Sharded [Count.support_counts]: one counting trie per database chunk,
-    merged with [Count.merge_into].  When [?chunk] is omitted the chunk
-    size is scaled so at most 64 tries are built (counts are sums, so
-    unlike randomization the chunking cannot affect the result). *)
-
 val support_counts_vertical :
-  Pool.t -> ?chunk:int -> ?cand_chunk:int -> ?sched:Pool.sched ->
+  Pool.t -> ?chunk:int -> ?cand_chunk:int ->
   Ppdm_mining.Vertical.t -> Itemset.t list -> (Itemset.t * int) list
 (** 2-D-grid-sharded [Vertical.support_counts]: {!Grid.plan} cuts the
     (bitmap-word x candidate) rectangle into cells of [chunk] words by
@@ -63,12 +54,12 @@ val support_counts_vertical :
     are added into the totals at their column offsets in cell-index
     order.  Counts over disjoint tid ranges add up exactly and candidate
     columns concatenate, so the output is bit-identical to the sequential
-    engine at any job count and under either scheduler.
+    engine at any job count.
     @raise Invalid_argument if a chunk is non-positive or a candidate is
     empty. *)
 
 val support_counts_sampled :
-  Pool.t -> ?chunk:int -> ?cand_chunk:int -> ?sched:Pool.sched ->
+  Pool.t -> ?chunk:int -> ?cand_chunk:int ->
   Ppdm_mining.Vertical.t -> Ppdm_mining.Sampled.plan -> Itemset.t list ->
   (Itemset.t * int) list
 (** Sharded [Sampled.support_counts]: the plan's selected word runs are
@@ -77,7 +68,7 @@ val support_counts_sampled :
     counted per cell, summed at column offsets, then scaled to
     full-database equivalents.  The plan is fixed before fan-out, so the
     output is bit-identical to the sequential sampled count at any job
-    count and under either scheduler.
+    count.
     @raise Invalid_argument if a chunk is non-positive or a candidate is
     empty. *)
 
@@ -86,16 +77,18 @@ val apriori_mine :
   ?counter:Ppdm_mining.Apriori.counter -> Db.t -> min_support:float ->
   (Itemset.t * int) list
 (** [Apriori.mine] with every level's candidate counting sharded through
-    {!support_counts} ([counter = Trie], the default),
-    {!support_counts_vertical} ([counter = Vertical]), or
-    {!support_counts_sampled} ([counter = Sampled _]; [Auto] resolves via
-    [Apriori.resolve_counter]).  [?chunk] is in transactions for the trie
-    and in bitmap words for the vertical and sampled engines; [?sched]
-    picks the {!Pool} scheduler for every level.  Candidate generation
-    and thresholding replicate [Apriori] exactly
-    ([Apriori.absolute_threshold], [Apriori.level1],
-    [Apriori.candidates_from]), and the mined output is byte-identical
-    across exact engines, job counts, and schedulers (sampled output
+    {!support_counts_vertical} ([counter = Vertical]) or
+    {!support_counts_sampled} ([counter = Sampled _]).  [counter]
+    defaults to [Auto], like the CLI, and resolves via
+    [Apriori.resolve_counter]; when that yields the trie (fewer rows than
+    one bitmap word under [Auto]) there is nothing to shard and the
+    sequential [Apriori.mine ~counter:Trie] runs in the caller.  [?chunk]
+    is in bitmap words.  [?sched] is ignored: the pool has one scheduler,
+    and the parameter remains so existing callers that pass
+    [Pool.Chunked] keep building.  Candidate generation and thresholding
+    replicate [Apriori] exactly ([Apriori.absolute_threshold],
+    [Apriori.level1], [Apriori.candidates_from]), and the mined output is
+    byte-identical across exact engines and job counts (sampled output
     matches the sequential sampled run for the same fraction and seed).
     @raise Invalid_argument if [min_support] is outside (0, 1]. *)
 
@@ -111,14 +104,6 @@ val apriori_mine_vertical :
     ([Vertical.word_alignment]) — a locality hint that, like the rest of
     the plan, never depends on the job count.  Output is byte-identical
     to [Apriori.mine_vertical] and to [apriori_mine ~counter:Vertical]
-    on the equivalent database, at any job count and scheduler.
-    @raise Invalid_argument if [min_support] is outside (0, 1]. *)
-
-val eclat_mine :
-  Pool.t -> ?sched:Pool.sched -> ?max_size:int -> Db.t ->
-  min_support:float -> (Itemset.t * int) list
-(** [Eclat.mine] with the independent prefix classes fanned out across
-    domains ([Eclat.mine_atoms] over atom ranges).  The output set is
-    range-independent and gets the same final sort, so the partitioning
-    is free to depend on the job count.
+    on the equivalent database, at any job count.  [?sched] is ignored,
+    as in {!apriori_mine}.
     @raise Invalid_argument if [min_support] is outside (0, 1]. *)

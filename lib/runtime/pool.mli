@@ -23,28 +23,14 @@
     run, the first exception is re-raised in the caller once the batch has
     drained, and the pool remains usable — workers never die.
 
-    {2 Schedulers}
+    {2 Scheduling}
 
-    Batches run under one of two schedulers ({!sched}):
-
-    - {b Chunked} (default): every task goes through one shared queue and
-      domains take the next task as they free up — the PR 1 behaviour.
-    - {b Stealing}: the batch is pre-split into one contiguous per-worker
-      deque; an owner drains its deque front-to-back while idle workers
-      steal from the {e back} of a pseudo-randomly chosen victim.  Built
-      for skewed batches (2-D counting grids where some cells are much
-      denser than others): a worker stuck on a heavy cell loses its
-      remaining cells to idle thieves instead of serializing the batch.
-
-    The scheduler moves {e which domain} runs a task, never what the task
-    computes or how results are combined — tasks write to per-index slots
-    and the caller reduces in task order — so the determinism contract
-    holds identically under both, and output is byte-identical across
-    schedulers, job counts, and the sequential fallback.  Observability:
-    stealing batches count [pool.steals], [pool.steal_failures] and
-    per-worker [pool.cells.w<i>]; stolen cells get a [pool.task.stolen]
-    trace slice; queue waits land on the {e executing} worker's
-    [pool.queue_wait_ns.w<i>] histogram in both modes. *)
+    Every task of a batch goes through one shared queue and domains take
+    the next task as they free up.  Scheduling moves {e which domain}
+    runs a task, never what the task computes or how results are
+    combined — tasks write to per-index slots and the caller reduces in
+    task order.  Queue waits land on the {e executing} worker's
+    [pool.queue_wait_ns.w<i>] histogram. *)
 
 open Ppdm_prng
 
@@ -75,9 +61,10 @@ val default_chunk : int
     constant by design: chunking must not depend on the job count, or
     outputs would differ across job counts. *)
 
-type sched = Chunked | Stealing
-(** How a batch is distributed over the pool's domains (see the module
-    preamble).  Output never depends on the choice. *)
+type sched = Chunked
+(** The scheduler: one shared queue (see the module preamble).  Only
+    {!Parallel.apriori_mine} and {!Parallel.apriori_mine_vertical} still
+    accept it, so callers that name it keep compiling; they ignore it. *)
 
 (** {2 Deterministic fault injection (testing)}
 
@@ -101,13 +88,11 @@ val inject_task_failure : k:int -> unit
 val clear_fault_injection : unit -> unit
 (** Disarm (idempotent). *)
 
-val run : ?sched:sched -> t -> (unit -> 'a) array -> 'a array
+val run : t -> (unit -> 'a) array -> 'a array
 (** [run pool tasks] executes every task (on whatever domain), returning
     their results in task order.  If tasks raise, every task still runs
     and the first exception (in completion order) is re-raised after the
-    batch drains — under [Stealing] too: an injected or organic failure
-    in a stolen cell propagates exactly like any other, after the whole
-    batch (including the thieves' deques) has quiesced.  For
+    batch drains.  For
     deterministic randomized work, prefer {!map_reduce} / {!map_array},
     which handle seeding. *)
 

@@ -3,6 +3,7 @@ open Ppdm
 type t = { sock : Unix.file_descr; max_frame : int; mutable closed : bool }
 
 exception Server_error of Wire.error_code * string
+exception Connect_failed of { port : int; error : Unix.error }
 
 let connect ?(retries = 100) ?(max_frame = Framing.default_max_frame) ~port () =
   let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
@@ -15,9 +16,9 @@ let connect ?(retries = 100) ?(max_frame = Framing.default_max_frame) ~port () =
         Unix.close sock;
         Unix.sleepf 0.01;
         attempt (left - 1)
-    | exception e ->
+    | exception Unix.Unix_error (error, _, _) ->
         Unix.close sock;
-        raise e
+        raise (Connect_failed { port; error })
   in
   attempt (max 1 retries)
 

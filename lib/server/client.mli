@@ -17,13 +17,18 @@ type t
 exception Server_error of Wire.error_code * string
 (** The server answered [Error { code; detail }]. *)
 
+exception Connect_failed of { port : int; error : Unix.error }
+(** {!connect} gave up: no server accepted on 127.0.0.1:[port] within
+    its retries, or the connect failed in a way retrying cannot fix;
+    [error] is the last socket error. *)
+
 val connect : ?retries:int -> ?max_frame:int -> port:int -> unit -> t
 (** Connect to 127.0.0.1:[port].  [retries] (default 100) connection
     attempts 10 ms apart cover the race against a server still binding.
     [max_frame] (default {!Framing.default_max_frame}) caps frames in
     {e both} directions: reads reject larger frames, and {!send} raises
     [Invalid_argument] rather than emit one the peer would reject.
-    @raise Unix.Unix_error when every attempt fails. *)
+    @raise Connect_failed when every attempt fails. *)
 
 val close : t -> unit
 (** Close the socket (idempotent). *)

@@ -10,7 +10,6 @@ type config = {
   linger_ns : int;
   queue_capacity : int;
   max_frame : int;
-  sched : Pool.sched;
   scheme : Randomizer.t;
   itemsets : Itemset.t list;
   admin_port : int option;
@@ -26,7 +25,6 @@ let default_config ~scheme ~itemsets =
     linger_ns = 0;
     queue_capacity = 4096;
     max_frame = Framing.default_max_frame;
-    sched = Pool.Chunked;
     scheme;
     itemsets;
     admin_port = None;
@@ -334,7 +332,7 @@ let serve_on listener ?admin sh =
      loop and sampler when the admin plane is on). *)
   Fun.protect ~finally:restore_metrics (fun () ->
       Pool.with_pool ~jobs:(Array.length tasks) (fun pool ->
-          ignore (Pool.run ~sched:config.sched pool tasks)));
+          ignore (Pool.run pool tasks)));
   { reports = shared_folded sh; sessions = Atomic.get sh.sessions }
 
 (* ------------------------------------------------------------- handles *)
@@ -359,8 +357,16 @@ let bind_admin config listener =
           close_quietly listener;
           raise e)
 
+(* A session worker answering a peer that already closed gets EPIPE from
+   [write] — which [Session.send] and the session's [Unix_error] arm
+   handle — but only once SIGPIPE no longer kills the whole process
+   first.  Process-wide, like any server's. *)
+let ignore_sigpipe () =
+  if not Sys.win32 then Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+
 let start config =
   validate config;
+  ignore_sigpipe ();
   let listener, bound_port = bind_listener config.port in
   let admin = bind_admin config listener in
   let sh = make_shared config in
@@ -390,6 +396,7 @@ let snapshot_json t ~flush = shared_snapshot_json t.sh ~flush
 
 let run ?(ready = ignore) ?(admin_ready = ignore) config =
   validate config;
+  ignore_sigpipe ();
   let listener, bound_port = bind_listener config.port in
   let admin = bind_admin config listener in
   let sh = make_shared config in

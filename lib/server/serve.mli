@@ -30,11 +30,6 @@ type config = {
   linger_ns : int;  (** how long a folder waits to fill a batch (0: none) *)
   queue_capacity : int;  (** per-shard queue bound (the backpressure knob) *)
   max_frame : int;  (** frame payload cap on every session *)
-  sched : Ppdm_runtime.Pool.sched;
-      (** pool scheduler for the server stages.  Every stage is a
-          long-lived task and the pool is sized to run them all at once,
-          so the choice cannot affect behaviour — it is exposed so the
-          stealing scheduler's dispatch path gets exercised end to end. *)
   scheme : Randomizer.t;  (** the operator clients must match *)
   itemsets : Itemset.t list;  (** tracked itemsets (estimates served) *)
   admin_port : int option;
@@ -48,7 +43,7 @@ type config = {
 
 val default_config : scheme:Randomizer.t -> itemsets:Itemset.t list -> config
 (** port 0, jobs 2, shards 2, batch 256, no linger, queue capacity 4096,
-    {!Framing.default_max_frame}, chunked scheduling, no admin plane,
+    {!Framing.default_max_frame}, no admin plane,
     1s sampler period. *)
 
 type stats = { reports : int; sessions : int }
@@ -59,6 +54,9 @@ type t
 
 val start : config -> t
 (** Bind and start serving; returns once the socket is listening.
+    Sets SIGPIPE to ignored for the process, so a write to a peer that
+    has already closed ends only that session (as [EPIPE]), never the
+    server.
     @raise Invalid_argument on a non-positive jobs/shards/batch/capacity.
     @raise Unix.Unix_error if the port cannot be bound. *)
 
@@ -86,6 +84,7 @@ val snapshot_json : t -> flush:bool -> string
 
 val run : ?ready:(int -> unit) -> ?admin_ready:(int -> unit) -> config -> stats
 (** Blocking variant for the CLI: serve until a client sends [Shutdown].
+    Ignores SIGPIPE like {!start}.
     [ready] is called with the bound data port once listening;
     [admin_ready] with the bound admin port when the admin plane is
     configured. *)

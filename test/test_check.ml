@@ -227,11 +227,6 @@ let suite =
         Fault.pool_error_propagates ~jobs:1 ~k:0 ~n:4 ());
     fault_case "fault: last task" (fun () ->
         Fault.pool_error_propagates ~jobs:2 ~k:7 ~n:8 ());
-    fault_case "fault: stealing pool error propagates" (fun () ->
-        Fault.pool_error_propagates ~sched:Ppdm_runtime.Pool.Stealing ~jobs:4
-          ~k:5 ~n:24 ());
-    fault_case "fault: failure inside a stolen cell" (fun () ->
-        Fault.stealing_fault_in_stolen_cell ~jobs:4);
     fault_case "fault: map_reduce yields nothing partial" (fun () ->
         Fault.map_reduce_fault_no_partial ~jobs:2);
     fault_case "fault: truncated read rejected" Fault.io_truncated_read_rejected;

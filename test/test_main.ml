@@ -30,7 +30,6 @@ let () =
       ("rules", Test_rules.suite);
       ("summarize", Test_summarize.suite);
       ("check", Test_check.suite);
-      ("accountant", Test_accountant.suite);
       ("runtime", Test_runtime.suite);
       ("obs", Test_obs.suite);
       ("telemetry", Test_telemetry.suite);

@@ -1,6 +1,6 @@
 (* Parallel runtime tests: the determinism contract (parallel output
    bit-identical to sequential at any job count) across randomization,
-   stream aggregation, and both miners; plus pool robustness — a worker
+   stream aggregation, grid counting and mining; plus pool robustness — a worker
    exception must neither kill the pool nor deadlock the batch. *)
 
 open Ppdm_prng
@@ -114,18 +114,19 @@ let test_stream_parallel_equals_sequential () =
         expected.Estimator.sigma e.Estimator.sigma)
     job_counts
 
-(* Counting and mining: parallel support counts and both parallel miners
-   reproduce their sequential counterparts exactly. *)
+(* Counting and mining: grid-sharded support counts and the parallel
+   miner reproduce the sequential trie and miner exactly. *)
 let test_support_counts () =
   let db = setup_db ~seed:31 in
   let candidates = List.map fst (Apriori.mine db ~min_support:0.03 ~max_size:2) in
   Alcotest.(check bool) "have candidates" true (candidates <> []);
   let expected = Count.support_counts db candidates in
+  let vt = Vertical.of_db db in
   List.iter
     (fun jobs ->
       let got =
         Pool.with_pool ~jobs (fun pool ->
-            Parallel.support_counts pool ~chunk:300 db candidates)
+            Parallel.support_counts_vertical pool ~chunk:5 vt candidates)
       in
       check_itemsets_equal (Printf.sprintf "counts at jobs=%d" jobs) expected got)
     job_counts
@@ -141,18 +142,6 @@ let test_apriori_parallel () =
               ~max_size:3)
       in
       check_itemsets_equal (Printf.sprintf "apriori at jobs=%d" jobs) expected got)
-    job_counts
-
-let test_eclat_parallel () =
-  let db = setup_db ~seed:51 in
-  let expected = Eclat.mine db ~min_support:0.02 ~max_size:3 in
-  List.iter
-    (fun jobs ->
-      let got =
-        Pool.with_pool ~jobs (fun pool ->
-            Parallel.eclat_mine pool db ~min_support:0.02 ~max_size:3)
-      in
-      check_itemsets_equal (Printf.sprintf "eclat at jobs=%d" jobs) expected got)
     job_counts
 
 (* map_reduce seeding: same seed -> same reduction at every job count,
@@ -225,26 +214,21 @@ let test_pool_survives_exception () =
         (Array.init 8 (fun i -> i * i))
         again)
 
-(* Stealing scheduler: bit-identical mining output at every job count,
-   under a word chunk small enough to cut many grid cells. *)
-let test_stealing_mine_identical () =
+(* Bit-identical mining output at every job count, under a word chunk
+   small enough to cut many grid cells. *)
+let test_grid_mine_identical () =
   let db = setup_db ~seed:61 in
   let expected =
     Apriori.mine ~counter:Apriori.Vertical db ~min_support:0.02 ~max_size:3
   in
   List.iter
     (fun jobs ->
-      List.iter
-        (fun (sname, sched) ->
-          let got =
-            Pool.with_pool ~jobs (fun pool ->
-                Parallel.apriori_mine pool ~chunk:7 ~sched
-                  ~counter:Apriori.Vertical db ~min_support:0.02 ~max_size:3)
-          in
-          check_itemsets_equal
-            (Printf.sprintf "%s at jobs=%d" sname jobs)
-            expected got)
-        [ ("chunked", Pool.Chunked); ("stealing", Pool.Stealing) ])
+      let got =
+        Pool.with_pool ~jobs (fun pool ->
+            Parallel.apriori_mine pool ~chunk:7 ~counter:Apriori.Vertical db
+              ~min_support:0.02 ~max_size:3)
+      in
+      check_itemsets_equal (Printf.sprintf "jobs=%d" jobs) expected got)
     [ 1; 2; 4; 8 ]
 
 (* A candidate chunk of 1 forces one grid column per candidate: the
@@ -260,29 +244,13 @@ let test_grid_columns_identical () =
     (fun (chunk, cand_chunk) ->
       let got =
         Pool.with_pool ~jobs:4 (fun pool ->
-            Parallel.support_counts_vertical pool ~chunk ~cand_chunk
-              ~sched:Pool.Stealing vt candidates)
+            Parallel.support_counts_vertical pool ~chunk ~cand_chunk vt
+              candidates)
       in
       check_itemsets_equal
         (Printf.sprintf "grid %dx%d" chunk cand_chunk)
         expected got)
     [ (5, 1); (1, 7); (13, 13); (1_000_000, 1_000_000) ]
-
-let test_stealing_pool_survives_exception () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let failing =
-        Array.init 16 (fun i ->
-            fun () -> if i = 7 then failwith "stolen boom" else i)
-      in
-      Alcotest.check_raises "exception propagates" (Failure "stolen boom")
-        (fun () -> ignore (Pool.run ~sched:Pool.Stealing pool failing));
-      let again =
-        Pool.run ~sched:Pool.Stealing pool
-          (Array.init 8 (fun i -> fun () -> i * i))
-      in
-      Alcotest.(check (array int)) "stealing run works after failure"
-        (Array.init 8 (fun i -> i * i))
-        again)
 
 (* Grid planning: exact partition, column-major cell order, and the
    documented defaults. *)
@@ -332,13 +300,10 @@ let test_grid_plan () =
     (Invalid_argument "Grid: l2_bytes must be positive") (fun () ->
       ignore (Grid.word_chunk_for ~l2_bytes:0 ~n_words:1 ()))
 
-(* Queue-wait accounting under stealing: a stolen task's wait must land
-   on the histogram of the worker that executed it.  Task 0 parks the
-   caller (worker 0) until task 1 has run, so worker 1 must steal at
-   least one of worker 0's remaining tasks before the batch can finish —
-   and its per-worker histogram must therefore hold more than its own
-   three tasks. *)
-let test_stealing_wait_accounting () =
+(* Queue-wait accounting: every task's wait is observed once, on the
+   histogram of the worker that executed it, so the per-worker
+   histograms partition the total. *)
+let test_wait_accounting () =
   Ppdm_obs.Metrics.set_enabled true;
   Ppdm_obs.Metrics.reset ();
   Fun.protect
@@ -346,46 +311,19 @@ let test_stealing_wait_accounting () =
       Ppdm_obs.Metrics.set_enabled false;
       Ppdm_obs.Metrics.reset ())
     (fun () ->
-      let unblock = Atomic.make false in
-      let timed_out = ref false in
-      let task i () =
-        if i = 0 then begin
-          let deadline = Unix.gettimeofday () +. 5.0 in
-          while
-            (not (Atomic.get unblock)) && Unix.gettimeofday () < deadline
-          do
-            Domain.cpu_relax ()
-          done;
-          if not (Atomic.get unblock) then timed_out := true
-        end
-        else if i = 1 then Atomic.set unblock true
-      in
       Pool.with_pool ~jobs:2 (fun pool ->
-          ignore (Pool.run ~sched:Pool.Stealing pool (Array.init 6 task)));
-      Alcotest.(check bool) "a steal released the parked owner" false
-        !timed_out;
+          ignore (Pool.run pool (Array.init 6 (fun i -> fun () -> i))));
       let snap = Ppdm_obs.Metrics.snapshot () in
-      let counter name =
-        match List.assoc_opt name snap.Ppdm_obs.Metrics.counters with
-        | Some v -> v
-        | None -> 0
-      in
       let hist_count name =
         match List.assoc_opt name snap.Ppdm_obs.Metrics.histograms with
         | Some h -> h.Ppdm_obs.Metrics.count
         | None -> 0
       in
-      Alcotest.(check bool) "steals recorded" true (counter "pool.steals" >= 1);
       Alcotest.(check int) "every wait observed once" 6
         (hist_count "pool.queue_wait_ns");
       Alcotest.(check int) "per-worker waits partition the total" 6
         (hist_count "pool.queue_wait_ns.w0"
-        + hist_count "pool.queue_wait_ns.w1");
-      Alcotest.(check bool)
-        "the thief's histogram holds its slice plus the stolen work" true
-        (hist_count "pool.queue_wait_ns.w1" >= 4);
-      Alcotest.(check int) "per-worker cell counts partition the batch" 6
-        (counter "pool.cells.w0" + counter "pool.cells.w1"))
+        + hist_count "pool.queue_wait_ns.w1"))
 
 let test_pool_edge_cases () =
   (* jobs <= 1 spawns nothing and still works; empty inputs are fine *)
@@ -423,21 +361,18 @@ let suite =
       test_support_counts;
     Alcotest.test_case "apriori parallel = sequential" `Quick
       test_apriori_parallel;
-    Alcotest.test_case "eclat parallel = sequential" `Quick test_eclat_parallel;
     Alcotest.test_case "map_reduce determinism" `Quick
       test_map_reduce_determinism;
     Alcotest.test_case "map_reduce advances rng" `Quick
       test_map_reduce_advances_rng;
     Alcotest.test_case "pool survives worker exception" `Quick
       test_pool_survives_exception;
-    Alcotest.test_case "stealing mine = sequential at jobs 1/2/4/8" `Quick
-      test_stealing_mine_identical;
+    Alcotest.test_case "grid mine = sequential at jobs 1/2/4/8" `Quick
+      test_grid_mine_identical;
     Alcotest.test_case "grid columns reduce identically" `Quick
       test_grid_columns_identical;
-    Alcotest.test_case "stealing pool survives worker exception" `Quick
-      test_stealing_pool_survives_exception;
     Alcotest.test_case "grid plan partitions exactly" `Quick test_grid_plan;
-    Alcotest.test_case "stolen waits land on the executing worker" `Quick
-      test_stealing_wait_accounting;
+    Alcotest.test_case "queue waits land on the executing worker" `Quick
+      test_wait_accounting;
     Alcotest.test_case "pool edge cases" `Quick test_pool_edge_cases;
   ]

@@ -344,6 +344,36 @@ let test_fault_scenarios () =
       ("invalid reports", Fault.server_invalid_reports_rejected);
     ]
 
+(* Answering a client that closed while queued must cost the server
+   nothing but that session. *)
+let test_queued_client_disconnect () =
+  match Fault.server_queued_client_disconnect () with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
+(* [Client.connect] to a port nobody listens on gives up with its typed
+   error once the retries run out. *)
+let test_connect_refused () =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  let port =
+    match Unix.getsockname sock with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> Alcotest.fail "unexpected socket family"
+  in
+  (* bound but never listening: connects are refused *)
+  Fun.protect
+    ~finally:(fun () -> Unix.close sock)
+    (fun () ->
+      match Client.connect ~retries:3 ~port () with
+      | c ->
+          Client.close c;
+          Alcotest.fail "connected to a port with no listener"
+      | exception Client.Connect_failed { port = p; error } ->
+          Alcotest.(check int) "port reported" port p;
+          Alcotest.(check bool) "connection refused" true
+            (error = Unix.ECONNREFUSED))
+
 (* The wire snapshot is real JSON with the documented shape, before and
    after ingestion. *)
 let test_snapshot_json () =
@@ -426,4 +456,8 @@ let suite =
       test_e2e_bit_identical;
     Alcotest.test_case "fault scenarios" `Quick test_fault_scenarios;
     Alcotest.test_case "snapshot json" `Quick test_snapshot_json;
+    Alcotest.test_case "queued client disconnect keeps the server up" `Quick
+      test_queued_client_disconnect;
+    Alcotest.test_case "connect to a closed port fails typed" `Quick
+      test_connect_refused;
   ]

@@ -283,13 +283,12 @@ let test_parallel_sharding_determinism () =
                ~min_support:0.05 ~max_size:3)))
     [ 1; 2; 4 ]
 
-(* Unsafe-kernel differential (the --unsafe-kernels flag): on widths one
-   short of a word, exactly a word, one past it, two words, and a
-   4096-tid run — with all-one words, all-zero words, alternating bits,
-   window endpoints, and a genuinely sparse item — the bounds-check-free
-   kernels must agree with the safe ones and with the trie, for every
-   representation mix. *)
-let test_unsafe_kernel_differential () =
+(* Kernel differential: on widths one short of a word, exactly a word,
+   one past it, two words, and a 4096-tid run — with all-one words,
+   all-zero words, alternating bits, window endpoints, and a genuinely
+   sparse item — the counting kernels must agree with the trie for every
+   representation mix, compressed containers included. *)
+let test_kernel_differential () =
   List.iter
     (fun n ->
       let db =
@@ -310,30 +309,28 @@ let test_unsafe_kernel_differential () =
       in
       let reference = Count.support_counts db candidates in
       List.iter
-        (fun cutoff ->
+        (fun (cutoff, compress) ->
           let vt =
             match cutoff with
             | None -> Vertical.load db
             | Some c -> Vertical.load ~dense_cutoff:c db
           in
-          Fun.protect
-            ~finally:(fun () -> Vertical.set_unsafe_kernels false)
-            (fun () ->
-              List.iter
-                (fun unsafe ->
-                  Vertical.set_unsafe_kernels unsafe;
-                  Alcotest.(check bool) "flag readable" unsafe
-                    (Vertical.unsafe_kernels_enabled ());
-                  check_same_result
-                    (Printf.sprintf "n=%d cutoff=%s unsafe=%b" n
-                       (match cutoff with
-                       | None -> "default"
-                       | Some c -> string_of_float c)
-                       unsafe)
-                    reference
-                    (Vertical.support_counts vt candidates))
-                [ false; true ]))
-        [ None; Some 0.; Some 1.1 ])
+          let vt = if compress then Vertical.compress vt else vt in
+          check_same_result
+            (Printf.sprintf "n=%d cutoff=%s compressed=%b" n
+               (match cutoff with
+               | None -> "default"
+               | Some c -> string_of_float c)
+               compress)
+            reference
+            (Vertical.support_counts vt candidates))
+        [
+          (None, false);
+          (Some 0., false);
+          (Some 1.1, false);
+          (Some 0., true);
+          (Some 1.1, true);
+        ])
     [ 61; 62; 63; 124; 4096 ]
 
 (* Candidate columns: a [cand_lo, cand_hi) restriction returns exactly
@@ -479,8 +476,8 @@ let suite =
       test_word_window_sums;
     Alcotest.test_case "tid-range sharding determinism at jobs 1/2/4" `Quick
       test_parallel_sharding_determinism;
-    Alcotest.test_case "unsafe kernels differential on width classes" `Quick
-      test_unsafe_kernel_differential;
+    Alcotest.test_case "kernel differential on width classes" `Quick
+      test_kernel_differential;
     Alcotest.test_case "candidate ranges slice and concatenate" `Quick
       test_candidate_ranges;
     Alcotest.test_case "eclat hybrid tid-set parity" `Quick
