@@ -120,16 +120,20 @@ open Ppdm
    snapshot, i.e. a misbehaving client took down nothing but itself. *)
 let server_scheme = Randomizer.uniform ~universe:16 ~p_keep:0.7 ~p_add:0.05
 
-let with_server ?(jobs = 2) f =
+let with_server ?(jobs = 2) ?handshake_timeout_s f =
+  let config =
+    Serve.default_config ~scheme:server_scheme
+      ~itemsets:[ Itemset.of_list [ 0; 1 ]; Itemset.of_list [ 2 ] ]
+  in
   let server =
     Serve.start
       {
-        (Serve.default_config ~scheme:server_scheme
-           ~itemsets:[ Itemset.of_list [ 0; 1 ]; Itemset.of_list [ 2 ] ])
-        with
+        config with
         jobs;
         shards = 2;
         batch = 8;
+        handshake_timeout_s =
+          Option.value handshake_timeout_s ~default:config.handshake_timeout_s;
       }
   in
   Fun.protect ~finally:(fun () -> ignore (Serve.stop server)) (fun () -> f server)
@@ -493,6 +497,57 @@ let server_queued_client_disconnect () =
       match still_serving server with
       | Error _ as e -> e
       | Ok () -> data_plane_identical server)
+
+(* A connection that never sends hello, on a one-worker server.  It
+   connects first, and connections are accepted and handed to workers in
+   arrival order, so it holds the only session worker; the handshake
+   deadline must free it, so a reporting session queued behind it is
+   served.  The reporter finishing no sooner than the deadline shows it
+   really waited behind the idle session.  The idle socket gets a typed
+   Handshake_timeout, and the flushed estimates equal a sequential fold
+   of the served reports. *)
+let server_idle_connection_times_out () =
+  let deadline = 0.2 in
+  with_server ~jobs:1 ~handshake_timeout_s:deadline (fun server ->
+      let served_at = Atomic.make None in
+      let reporter = ref None in
+      let verdict =
+        with_client server (fun idle ->
+            let connected_at = Unix.gettimeofday () in
+            reporter :=
+              Some
+                (Domain.spawn (fun () ->
+                     send_reports server;
+                     Atomic.set served_at (Some (Unix.gettimeofday ()))));
+            let rec wait tries =
+              match Atomic.get served_at with
+              | Some t -> Some t
+              | None when tries > 0 ->
+                  Unix.sleepf 0.01;
+                  wait (tries - 1)
+              | None -> None
+            in
+            match wait 1000 with
+            | None ->
+                Error "a session queued behind an idle one is still waiting after 10s"
+            | Some t when t -. connected_at < deadline ->
+                Error
+                  (Printf.sprintf
+                     "the queued session was served after %.3fs, before the \
+                      %.1fs deadline: the idle session did not hold the worker"
+                     (t -. connected_at) deadline)
+            | Some _ -> (
+                match Sclient.read idle with
+                | Ok (Wire.Error { code = Wire.Handshake_timeout; _ }) -> Ok ()
+                | Ok m ->
+                    Error ("idle socket got " ^ Wire.message_name m
+                           ^ ", expected handshake-timeout")
+                | Error e -> Error ("idle socket: " ^ e)))
+      in
+      (* closing the idle socket (above) unblocks a worker that has no
+         deadline, so the reporter always finishes *)
+      Option.iter Domain.join !reporter;
+      match verdict with Error _ as e -> e | Ok () -> data_plane_identical server)
 
 let io_fimi_truncation_is_silent () =
   let db =

@@ -108,3 +108,11 @@ val server_queued_client_disconnect : unit -> (unit, string) result
     served: answering its dead socket ends only that session.  A fresh
     session is then served, and the flushed estimates are bit-identical
     to a sequential fold of the acknowledged reports. *)
+
+val server_idle_connection_times_out : unit -> (unit, string) result
+(** On a one-worker server with a 0.2 s handshake deadline, a connection
+    that never sends [Hello] holds the only session worker: the deadline
+    answers it [Handshake_timeout] and frees the worker, so a reporting
+    session queued behind it is served no sooner than the deadline and
+    within 10 s (else the scenario fails), and the flushed estimates are
+    bit-identical to a sequential fold of its reports. *)

@@ -233,6 +233,83 @@ let brute_force_support_estimate ~scheme ~data ~itemset =
   let x = solve_gaussian a frac in
   x.(k)
 
+(* ---------------------------------------------- private-mining oracle *)
+
+(* The per-candidate reference miner: level 1 is the miner's own pooled
+   pass, and every later candidate is estimated by a full scan of the
+   randomized data through [Estimator.estimate].  The level loop and
+   threshold rule are restated here rather than shared, so a bug in
+   either cannot hide in both. *)
+let ppmining_scan ?max_size ?(sigma_slack = 2.0) ?sigma_cap ~scheme ~data
+    ~min_support () =
+  let cap = Option.value max_size ~default:max_int in
+  let sigma_cap = Option.value sigma_cap ~default:(min_support /. 2.) in
+  let eps = 1e-12 in
+  let passes (d : Ppmining.discovery) =
+    d.sigma < sigma_cap
+    && d.est_support +. (sigma_slack *. d.sigma) >= min_support -. eps
+  in
+  let first =
+    (Ppmining.mine ~max_size:(min cap 1) ~sigma_slack ~sigma_cap ~scheme ~data
+       ~min_support ())
+      .Ppmining.explored
+  in
+  let rec levels acc current size =
+    if size > cap || current = [] then acc
+    else
+      let next =
+        Ppdm_mining.Apriori.candidates_from
+          ~frequent:(List.map (fun (d : Ppmining.discovery) -> d.itemset) current)
+          ~size
+        |> List.map (fun itemset ->
+               let e = Estimator.estimate ~scheme ~data ~itemset in
+               {
+                 Ppmining.itemset;
+                 est_support = e.Estimator.support;
+                 sigma = e.Estimator.sigma;
+               })
+        |> List.filter passes
+      in
+      levels (next @ acc) next (size + 1)
+  in
+  let explored =
+    List.sort
+      (fun (a : Ppmining.discovery) b -> Itemset.compare a.itemset b.itemset)
+      (levels first first 2)
+  in
+  {
+    Ppmining.discovered =
+      List.filter
+        (fun (d : Ppmining.discovery) -> d.est_support >= min_support -. eps)
+        explored;
+    explored;
+  }
+
+let ppmining_matches_scan ?max_size ?sigma_cap ~scheme ~data ~min_support ()
+    =
+  let show (r : Ppmining.result) =
+    String.concat "\n"
+      (List.map
+         (fun (d : Ppmining.discovery) ->
+           Printf.sprintf "%s %h %h" (Itemset.to_string d.itemset)
+             d.est_support d.sigma)
+         r.explored
+      @ [ Printf.sprintf "discovered %d" (List.length r.discovered) ])
+  in
+  let reference =
+    show (ppmining_scan ?max_size ?sigma_cap ~scheme ~data ~min_support ())
+  in
+  let got =
+    show (Ppmining.mine ?max_size ?sigma_cap ~scheme ~data ~min_support ())
+  in
+  if got = reference then Ok ()
+  else
+    Error
+      (Printf.sprintf
+         "private miner differs from the per-candidate scan:\n\
+          --- scan\n%s\n--- engine\n%s"
+         reference got)
+
 (* ------------------------------------------------------- server oracle *)
 
 let server_matches_sequential ~jobs ~shards ~clients ~scheme ~itemsets ~data =

@@ -56,6 +56,33 @@ val padding_noop :
 (** Growing the universe by [pad] items that occur in no transaction
     leaves the mined collection untouched. *)
 
+(** {1 Private mining vs the per-candidate scan} *)
+
+val ppmining_scan :
+  ?max_size:int ->
+  ?sigma_slack:float ->
+  ?sigma_cap:float ->
+  scheme:Randomizer.t ->
+  data:(int * Itemset.t) array ->
+  min_support:float ->
+  unit ->
+  Ppmining.result
+(** Reference private miner: {!Ppdm.Ppmining.mine}'s level 1, then every
+    candidate of every later level estimated by a full scan of [data]
+    ({!Ppdm.Estimator.estimate}), with no counting engine involved.  Same
+    parameters and defaults as {!Ppdm.Ppmining.mine}. *)
+
+val ppmining_matches_scan :
+  ?max_size:int ->
+  ?sigma_cap:float ->
+  scheme:Randomizer.t ->
+  data:(int * Itemset.t) array ->
+  min_support:float ->
+  unit ->
+  (unit, string) result
+(** {!Ppdm.Ppmining.mine} explores and discovers exactly what
+    {!ppmining_scan} does, every estimate and σ equal {e bit for bit}. *)
+
 (** {1 Server vs sequential} *)
 
 val server_matches_sequential :

@@ -92,6 +92,29 @@ let estimator_reference_check ~seed ~count =
              (Printf.sprintf "estimate %.9f but brute-force reference %.9f" est
                 reference)))
 
+(* The private miner on the counting engine against the per-candidate
+   scan it replaced: small generated databases (empty rows, several size
+   classes, none a multiple of 62 rows), a generated scheme, itemsets up
+   to size 4, and a cap of 1 so that most candidates are explored. *)
+let ppmining_check ~seed ~count =
+  let case =
+    Gen.pair
+      (Gen.db ~max_universe:10 ~max_transactions:40 ())
+      (Gen.pair (Gen.int_range 2 4) (Gen.int_range 0 1_000_000))
+  in
+  prop
+    (Property.check_result ~seed ~count ~name:"private miner equals the scan"
+       case (fun (db, (max_size, key)) ->
+         if Db.length db = 0 then Ok ()
+         else
+           let rng = Rng.create ~seed:key () in
+           let scheme =
+             Gen.generate (Gen.scheme ~universe:(Db.universe db)) rng ~size:4
+           in
+           let data = Randomizer.apply_db_tagged scheme rng db in
+           Oracle.ppmining_matches_scan ~max_size ~sigma_cap:1. ~scheme ~data
+             ~min_support:0.2 ()))
+
 let p_floor = 0.001
 
 let transition_check ~rng () =
@@ -592,6 +615,8 @@ let run ?count ?(seed = 42) ?(log = ignore) () =
               metamorphic_check ~seed ~count);
           ( "differential: estimator vs brute-force reference",
             fun () -> estimator_reference_check ~seed ~count );
+          ( "differential: private miner engine vs per-candidate scan",
+            fun () -> ppmining_check ~seed ~count );
           ("statistical: apply matches transition matrix (chi-square)", fun () ->
               transition_check ~rng ());
           ("statistical: amplification bound on sampled pairs", fun () ->
@@ -672,6 +697,9 @@ let run ?count ?(seed = 42) ?(log = ignore) () =
           ("fault: client gone while queued, server stays up, estimates \
             bit-identical",
             fun () -> Fault.server_queued_client_disconnect ());
+          ("fault: idle connection times out, queued session served, \
+            estimates bit-identical",
+            fun () -> Fault.server_idle_connection_times_out ());
         ]
         @ fuzz_roundtrip_checks ~seed ~count
       in

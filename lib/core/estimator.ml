@@ -56,20 +56,14 @@ let conditional_cov p partials n =
   done;
   cov
 
-(* One size class: solve for the class-conditional partial supports and
-   their covariance.  Square case inverts P; the rectangular case (m < k)
-   solves the normal equations and conjugates by the pseudo-inverse. *)
-let estimate_class (resolved : Randomizer.resolved) ~k counts =
-  Ppdm_obs.Metrics.incr "estimator.solves";
-  Ppdm_obs.Metrics.time "estimator.solve_ns" @@ fun () ->
+(* The per-(size, k) half of a class solve that depends only on the
+   operator: the (rectangular) transition matrix P and its inverse — the
+   square case inverts P, the rectangular case (m < k) takes the
+   pseudo-inverse (PᵀP)⁻¹Pᵀ of the normal equations. *)
+type operator = { p : Mat.t; pinv : Mat.t; pinv_t : Mat.t; cols : int }
+
+let class_operator (resolved : Randomizer.resolved) ~k =
   let m = Array.length resolved.keep_dist - 1 in
-  let n = Array.fold_left ( + ) 0 counts in
-  (* n = 0 would divide the observed fractions by zero and propagate NaN
-     through partials, covariance, and sigma. *)
-  if n = 0 then invalid_arg "Estimator.estimate_class: empty size class";
-  let observed =
-    Array.map (fun c -> float_of_int c /. float_of_int n) counts
-  in
   let cols = min k m + 1 in
   let p = Transition.rect_matrix resolved ~k in
   let pinv =
@@ -80,9 +74,44 @@ let estimate_class (resolved : Randomizer.resolved) ~k counts =
       Lu.solve_mat (Lu.decompose gram) pt
     end
   in
-  let short = Mat.mul_vec pinv observed in
-  let cov_obs = conditional_cov p short n in
-  let cov_short = Mat.mul pinv (Mat.mul cov_obs (Mat.transpose pinv)) in
+  { p; pinv; pinv_t = Mat.transpose pinv; cols }
+
+(* A memo of class operators for one scheme.  A plain table, owned by one
+   caller: a miner that estimates hundreds of itemsets over the same size
+   classes builds each (size, k) operator once instead of once per
+   estimate.  The cached matrices are the very floats a fresh build
+   yields, so estimates do not depend on whether a memo is reused. *)
+type operators = {
+  scheme : Randomizer.t;
+  table : (int * int, operator) Hashtbl.t;
+}
+
+let operators scheme = { scheme; table = Hashtbl.create 16 }
+
+let lookup ops ~size ~k =
+  match Hashtbl.find_opt ops.table (size, k) with
+  | Some op -> op
+  | None ->
+      let op = class_operator (Randomizer.resolve ops.scheme ~size) ~k in
+      Hashtbl.replace ops.table (size, k) op;
+      op
+
+(* One size class: solve for the class-conditional partial supports and
+   their covariance through the class operator. *)
+let estimate_class op ~k counts =
+  Ppdm_obs.Metrics.incr "estimator.solves";
+  Ppdm_obs.Metrics.time "estimator.solve_ns" @@ fun () ->
+  let n = Array.fold_left ( + ) 0 counts in
+  (* n = 0 would divide the observed fractions by zero and propagate NaN
+     through partials, covariance, and sigma. *)
+  if n = 0 then invalid_arg "Estimator.estimate_class: empty size class";
+  let observed =
+    Array.map (fun c -> float_of_int c /. float_of_int n) counts
+  in
+  let cols = op.cols in
+  let short = Mat.mul_vec op.pinv observed in
+  let cov_obs = conditional_cov op.p short n in
+  let cov_short = Mat.mul op.pinv (Mat.mul cov_obs op.pinv_t) in
   (* Pad with structural zeros: s_l = 0 exactly for l > m. *)
   let partials = Array.make (k + 1) 0. in
   Array.blit short 0 partials 0 cols;
@@ -126,7 +155,7 @@ let sampling_sigma ~support ~n ~population =
     (Float.max 0.
        (Mat.get (sampling_covariance ~partials:[| support |] ~n ~population) 0 0))
 
-let estimate_from_counts_gen ~population ~scheme ~k ~counts:groups =
+let estimate_with_gen ops ~population ~k ~counts:groups =
   Ppdm_obs.Span.with_ ~name:"estimator.estimate" @@ fun () ->
   let total =
     List.fold_left
@@ -149,8 +178,8 @@ let estimate_from_counts_gen ~population ~scheme ~k ~counts:groups =
   let covariance = Mat.create ~rows:(k + 1) ~cols:(k + 1) in
   List.iter
     (fun (size, counts) ->
-      let resolved = Randomizer.resolve scheme ~size in
-      let class_partials, class_cov, n = estimate_class resolved ~k counts in
+      let op = lookup ops ~size ~k in
+      let class_partials, class_cov, n = estimate_class op ~k counts in
       let w = float_of_int n /. float_of_int total in
       for l = 0 to k do
         partials.(l) <- partials.(l) +. (w *. class_partials.(l));
@@ -180,17 +209,19 @@ let estimate_from_counts_gen ~population ~scheme ~k ~counts:groups =
     n_population = population;
   }
 
+let estimate_with ops ~k ~counts = estimate_with_gen ops ~population:None ~k ~counts
+
 let estimate_from_counts ~scheme ~k ~counts =
-  estimate_from_counts_gen ~population:None ~scheme ~k ~counts
+  estimate_with_gen (operators scheme) ~population:None ~k ~counts
 
 let estimate_from_counts_sampled ~population ~scheme ~k ~counts =
-  estimate_from_counts_gen ~population:(Some population) ~scheme ~k ~counts
+  estimate_with_gen (operators scheme) ~population:(Some population) ~k ~counts
 
 let estimate_gen ~population ~scheme ~data ~itemset =
   if Array.length data = 0 then invalid_arg "Estimator.estimate: empty data";
   let k = Itemset.cardinal itemset in
   let counts = observed_partial_counts data ~itemset in
-  estimate_from_counts_gen ~population ~scheme ~k ~counts
+  estimate_with_gen (operators scheme) ~population ~k ~counts
 
 let estimate ~scheme ~data ~itemset =
   estimate_gen ~population:None ~scheme ~data ~itemset

@@ -59,6 +59,21 @@ val estimate_from_counts :
     skipped (they carry no observations).
     @raise Invalid_argument on empty counts or mis-sized vectors. *)
 
+type operators
+(** A memo of per-(size class, k) transition matrices and their
+    (pseudo-)inverses for one scheme.  A plain table with no locking:
+    create one per caller (a mining run, say) and use it from one domain
+    only.  Estimates through a memo are bit-identical to
+    {!estimate_from_counts}: the cached matrices are the same floats a
+    fresh build yields. *)
+
+val operators : Randomizer.t -> operators
+(** An empty memo for the given scheme. *)
+
+val estimate_with : operators -> k:int -> counts:(int * int array) list -> t
+(** {!estimate_from_counts} for the memo's scheme, building each class
+    operator at most once per memo. *)
+
 val estimate_from_counts_sampled :
   population:int ->
   scheme:Randomizer.t ->

@@ -4,15 +4,9 @@ open Ppdm_mining
 type discovery = { itemset : Itemset.t; est_support : float; sigma : float }
 type result = { discovered : discovery list; explored : discovery list }
 
-let estimate_candidate ~scheme ~data itemset =
-  let e = Estimator.estimate ~scheme ~data ~itemset in
-  { itemset; est_support = e.Estimator.support; sigma = e.Estimator.sigma }
-
-(* Singletons get a fast path: one pass counts every item at once, giving
-   the k = 1 observed partials for all universe items. *)
-let level_one ~scheme ~data ~keep =
-  let universe = Randomizer.universe scheme in
-  (* counts.(size).(item) for transactions of each original size *)
+(* Per original size m: the number of rows and each item's count among
+   them — the level-1 statistic, and the support table's seed. *)
+let size_counts ~universe data =
   let by_size = Hashtbl.create 8 in
   Array.iter
     (fun (size, y) ->
@@ -27,7 +21,13 @@ let level_one ~scheme ~data ~keep =
       incr (fst slot);
       Itemset.iter (fun item -> (snd slot).(item) <- (snd slot).(item) + 1) y)
     data;
-  let total = float_of_int (Array.length data) in
+  by_size
+
+(* Singletons get a fast path: one pass counts every item at once, giving
+   the k = 1 observed partials for all universe items. *)
+let level_one ~scheme ~by_size ~total ~keep =
+  let universe = Randomizer.universe scheme in
+  let total = float_of_int total in
   let out = ref [] in
   for item = 0 to universe - 1 do
     (* Pool the per-size 2x2 inversions: for k = 1 the transition matrix
@@ -61,148 +61,164 @@ let level_one ~scheme ~data ~keep =
   done;
   List.rev !out
 
-(* Pair candidates also get a single-pass path: per original size, count
-   each candidate item's occurrences and each candidate pair's
-   co-occurrences; the k = 2 partial counts follow by inclusion-exclusion
-   (c2 = both, c1 = cnt_a + cnt_b - 2 c2, c0 = rest).  This turns
-   O(#pairs) data passes into one.  Counts live in flat per-size arrays
-   (universe-sized for items, universe^2 for pairs) because the inner
-   loop runs once per co-occurring pair per transaction. *)
-let level_two_dense ~scheme ~data candidates =
-  let universe = Randomizer.universe scheme in
-  let candidate_items = Array.make universe false in
-  List.iter
-    (fun c ->
-      candidate_items.(Itemset.nth c 0) <- true;
-      candidate_items.(Itemset.nth c 1) <- true)
-    candidates;
-  let item_counts : (int, int array) Hashtbl.t = Hashtbl.create 8 in
-  let pair_counts : (int, int array) Hashtbl.t = Hashtbl.create 8 in
-  let size_totals : (int, int ref) Hashtbl.t = Hashtbl.create 8 in
-  let slot table size len =
-    match Hashtbl.find_opt table size with
-    | Some a -> a
-    | None ->
-        let a = Array.make len 0 in
-        Hashtbl.replace table size a;
-        a
-  in
-  let scratch = Array.make universe 0 in
-  Array.iter
-    (fun (size, y) ->
-      (match Hashtbl.find_opt size_totals size with
-      | Some r -> incr r
-      | None -> Hashtbl.replace size_totals size (ref 1));
-      let items = slot item_counts size universe in
-      let pairs = slot pair_counts size (universe * universe) in
-      let n_present = ref 0 in
-      Itemset.iter
-        (fun item ->
-          if candidate_items.(item) then begin
-            items.(item) <- items.(item) + 1;
-            scratch.(!n_present) <- item;
-            incr n_present
-          end)
-        y;
-      for i = 0 to !n_present - 1 do
-        let base = scratch.(i) * universe in
-        for j = i + 1 to !n_present - 1 do
-          let idx = base + scratch.(j) in
-          pairs.(idx) <- pairs.(idx) + 1
-        done
-      done)
-    data;
-  List.map
-    (fun c ->
-      let a = Itemset.nth c 0 and b = Itemset.nth c 1 in
-      let counts =
-        Hashtbl.fold
-          (fun size total acc ->
-            let items = Hashtbl.find item_counts size in
-            let pairs = Hashtbl.find pair_counts size in
-            let c2 = pairs.((a * universe) + b) in
-            let c1 = items.(a) + items.(b) - (2 * c2) in
-            let c0 = !total - c1 - c2 in
-            (size, [| c0; c1; c2 |]) :: acc)
-          size_totals []
-      in
-      let e = Estimator.estimate_from_counts ~scheme ~k:2 ~counts in
-      { itemset = c; est_support = e.Estimator.support; sigma = e.Estimator.sigma })
-    candidates
+(* Levels >= 2 count on one transposed copy of the randomized rows, laid
+   out in size classes: rows sorted stably by original size m, each class
+   padded with empty rows to a word boundary, so class c owns the bitmap
+   words [windows.(c)].  A padding row contains no non-empty itemset, so
+   a windowed count is exactly the class's support.  Only the surviving
+   singletons are transposed: no later candidate contains another item. *)
+type layout = {
+  vt : Vertical.t;
+  sizes : int array;  (* class sizes m, ascending *)
+  rows : int array;  (* real (unpadded) rows per class *)
+  windows : (int * int) array;
+}
 
-(* Sparse variant for large universes (the flat pair array would need
-   universe^2 cells per size class): per-size hash tables keyed by the
-   candidate pair. *)
-let level_two_sparse ~scheme ~data candidates =
-  let universe = Randomizer.universe scheme in
-  let candidate_items = Array.make universe false in
-  let pair_slots = Hashtbl.create (2 * List.length candidates) in
-  List.iter
-    (fun c ->
-      let a = Itemset.nth c 0 and b = Itemset.nth c 1 in
-      candidate_items.(a) <- true;
-      candidate_items.(b) <- true;
-      Hashtbl.replace pair_slots (a, b) (Hashtbl.create 4))
-    candidates;
-  let item_counts = Hashtbl.create 64 in
-  let size_totals = Hashtbl.create 8 in
-  let bump table key =
-    Hashtbl.replace table key
-      (1 + Option.value ~default:0 (Hashtbl.find_opt table key))
+let layout ~universe ~by_size ~items data =
+  Ppdm_obs.Span.with_ ~name:"ppmining.load" @@ fun () ->
+  let sizes =
+    Array.of_list
+      (List.sort Int.compare (Hashtbl.fold (fun m _ acc -> m :: acc) by_size []))
   in
-  Array.iter
-    (fun (size, y) ->
-      bump size_totals size;
-      let present =
-        List.rev
-          (Itemset.fold
-             (fun item acc -> if candidate_items.(item) then item :: acc else acc)
-             y [])
-      in
-      List.iter (fun item -> bump item_counts (size, item)) present;
-      let rec pairs = function
-        | [] -> ()
-        | a :: rest ->
-            List.iter
-              (fun b ->
-                match Hashtbl.find_opt pair_slots (a, b) with
-                | Some per_size -> bump per_size size
-                | None -> ())
-              rest;
-            pairs rest
-      in
-      pairs present)
-    data;
-  let count table key = Option.value ~default:0 (Hashtbl.find_opt table key) in
-  List.map
-    (fun c ->
-      let a = Itemset.nth c 0 and b = Itemset.nth c 1 in
-      let per_size = Hashtbl.find pair_slots (a, b) in
-      let counts =
-        Hashtbl.fold
-          (fun size total acc ->
-            let c2 = count per_size size in
-            let c1 =
-              count item_counts (size, a) + count item_counts (size, b) - (2 * c2)
-            in
-            (size, [| total - c1 - c2; c1; c2 |]) :: acc)
-          size_totals []
-      in
-      let e = Estimator.estimate_from_counts ~scheme ~k:2 ~counts in
-      { itemset = c; est_support = e.Estimator.support; sigma = e.Estimator.sigma })
-    candidates
+  let rows = Array.map (fun m -> !(fst (Hashtbl.find by_size m))) sizes in
+  let class_of = Array.make (sizes.(Array.length sizes - 1) + 1) 0 in
+  Array.iteri (fun c m -> class_of.(m) <- c) sizes;
+  let windows = Array.make (Array.length sizes) (0, 0) in
+  let next = ref 0 in
+  Array.iteri
+    (fun c n ->
+      let lo = !next in
+      next := lo + Bitset.words_for n;
+      windows.(c) <- (lo, !next))
+    rows;
+  (* Row j of class c (in data order) goes to tid first.(c) + j. *)
+  let first = Array.map (fun (lo, _) -> lo * Bitset.bits_per_word) windows in
+  let each_row f =
+    let cursor = Array.copy first in
+    Array.iter
+      (fun (m, y) ->
+        let c = class_of.(m) in
+        f cursor.(c) y;
+        cursor.(c) <- cursor.(c) + 1)
+      data
+  in
+  let kept = Array.make universe false in
+  List.iter (fun item -> kept.(item) <- true) items;
+  let vt =
+    Vertical.of_rows ~keep:(Array.get kept) ~universe
+      ~n:(!next * Bitset.bits_per_word) each_row
+  in
+  { vt; sizes; rows; windows }
 
-let level_two ~scheme ~data candidates =
-  (* the dense path allocates universe^2 cells per occurring size class *)
-  let universe = Randomizer.universe scheme in
-  if universe <= 1024 then level_two_dense ~scheme ~data candidates
-  else level_two_sparse ~scheme ~data candidates
+module Table = Hashtbl.Make (struct
+  type t = Itemset.t
+
+  let equal = Itemset.equal
+  let hash = Itemset.hash
+end)
+
+(* The k+1 observed partial counts of candidate A in each class, from
+   per-class supports alone.  With N_j the sum of supp(B) over the
+   j-subsets B of A (N_0 = the class's rows), every row y with
+   |y ∩ A| = l contributes C(l, j) to N_j, so N_j = Σ_l C(l, j) c_l and,
+   inverting the binomial transform,
+     c_l = Σ_{j >= l} (-1)^{j-l} C(j, l) N_j.
+   Every proper subset of A was explored at a lower level (candidate
+   generation requires it), so the table holds its supports; the sums are
+   exact integers. *)
+let partial_counts ~table ~rows items supp =
+  let k = Array.length items in
+  let n_classes = Array.length rows in
+  let sums =
+    Array.init (k + 1) (fun j ->
+        if j = 0 then rows else if j = k then supp else Array.make n_classes 0)
+  in
+  let sub = Array.make k 0 in
+  for mask = 1 to (1 lsl k) - 2 do
+    let j = ref 0 in
+    for i = 0 to k - 1 do
+      if mask land (1 lsl i) <> 0 then begin
+        sub.(!j) <- items.(i);
+        incr j
+      end
+    done;
+    let s =
+      Table.find table (Itemset.of_sorted_array_unchecked (Array.sub sub 0 !j))
+    in
+    let row = sums.(!j) in
+    for c = 0 to n_classes - 1 do
+      row.(c) <- row.(c) + s.(c)
+    done
+  done;
+  let binom = Array.make_matrix (k + 1) (k + 1) 0 in
+  for j = 0 to k do
+    binom.(j).(0) <- 1;
+    for l = 1 to j do
+      binom.(j).(l) <- binom.(j - 1).(l - 1) + if l < j then binom.(j - 1).(l) else 0
+    done
+  done;
+  Array.init n_classes (fun c ->
+      Array.init (k + 1) (fun l ->
+          let acc = ref 0 in
+          for j = l to k do
+            let term = binom.(j).(l) * sums.(j).(c) in
+            acc := if (j - l) land 1 = 0 then !acc + term else !acc - term
+          done;
+          !acc))
+
+(* Per-level span and counters; the names are computed, so the disabled
+   path stays one flag check. *)
+let with_level_span ~size f =
+  if Ppdm_obs.Metrics.any_enabled () then
+    Ppdm_obs.Span.with_ ~name:(Printf.sprintf "ppmining.level%d" size) f
+  else f ()
+
+let record_level ~size ~candidates ~explored =
+  if Ppdm_obs.Metrics.enabled () then begin
+    Ppdm_obs.Metrics.add (Printf.sprintf "ppmining.candidates.k%d" size) candidates;
+    Ppdm_obs.Metrics.add (Printf.sprintf "ppmining.explored.k%d" size) explored
+  end
+
+(* One level >= 2: count every candidate per class, derive its partial
+   counts, estimate, and keep (in the support table too) what passes. *)
+let level ~scratch ~ops ~table ~lay ~keep ~size candidates =
+  let cands = Array.of_list (List.sort_uniq Itemset.compare candidates) in
+  (* [prepare] sorts by Itemset.compare and deduplicates, so count
+     columns line up with [cands]. *)
+  let prepared = Vertical.prepare (Array.to_list cands) in
+  let counts =
+    Array.map
+      (fun (word_lo, word_hi) ->
+        Vertical.count_into ~scratch lay.vt ~word_lo ~word_hi prepared)
+      lay.windows
+  in
+  let out = ref [] in
+  Array.iteri
+    (fun i itemset ->
+      let supp = Array.map (fun per_class -> per_class.(i)) counts in
+      let partials =
+        partial_counts ~table ~rows:lay.rows (Itemset.unsafe_to_array itemset) supp
+      in
+      let e =
+        Estimator.estimate_with ops ~k:size
+          ~counts:(List.init (Array.length lay.sizes) (fun c -> (lay.sizes.(c), partials.(c))))
+      in
+      let d =
+        { itemset; est_support = e.Estimator.support; sigma = e.Estimator.sigma }
+      in
+      if keep d then begin
+        Table.replace table itemset supp;
+        out := d :: !out
+      end)
+    cands;
+  (Array.length cands, List.rev !out)
 
 let mine ?max_size ?(sigma_slack = 2.0) ?sigma_cap ~scheme ~data ~min_support
     () =
   if min_support <= 0. || min_support > 1. then
     invalid_arg "Ppmining.mine: min_support out of (0,1]";
   if Array.length data = 0 then invalid_arg "Ppmining.mine: empty data";
+  Ppdm_obs.Span.with_ ~name:"ppmining.mine" @@ fun () ->
   let cap = Option.value max_size ~default:max_int in
   let sigma_cap = Option.value sigma_cap ~default:(min_support /. 2.) in
   (* Estimates travel through matrix inversions, so threshold comparisons
@@ -213,31 +229,58 @@ let mine ?max_size ?(sigma_slack = 2.0) ?sigma_cap ~scheme ~data ~min_support
     d.sigma < sigma_cap
     && d.est_support +. (sigma_slack *. d.sigma) >= min_support -. eps
   in
-  let explored = ref [] in
-  let rec levels current size =
-    if size > cap || current = [] then ()
+  let universe = Randomizer.universe scheme in
+  let first, by_size =
+    if cap < 1 then ([], Hashtbl.create 1)
+    else
+      with_level_span ~size:1 (fun () ->
+          let by_size = size_counts ~universe data in
+          let first =
+            level_one ~scheme ~by_size ~total:(Array.length data) ~keep:passes
+          in
+          (first, by_size))
+  in
+  if cap >= 1 then
+    record_level ~size:1 ~candidates:universe ~explored:(List.length first);
+  let levels =
+    (* Level 2 joins every pair of surviving singletons: with fewer than
+       two there is nothing to count, and nothing to transpose. *)
+    if cap < 2 || List.compare_length_with first 2 < 0 then [ first ]
     else begin
-      let candidates =
-        Apriori.candidates_from
-          ~frequent:(List.map (fun d -> d.itemset) current)
-          ~size
+      let lay =
+        layout ~universe ~by_size
+          ~items:(List.map (fun d -> Itemset.nth d.itemset 0) first)
+          data
       in
-      let next =
-        let estimated =
-          if size = 2 then level_two ~scheme ~data candidates
-          else List.map (estimate_candidate ~scheme ~data) candidates
-        in
-        List.filter passes estimated
+      let table = Table.create 256 in
+      List.iter
+        (fun d ->
+          let item = Itemset.nth d.itemset 0 in
+          Table.replace table d.itemset
+            (Array.map (fun m -> (snd (Hashtbl.find by_size m)).(item)) lay.sizes))
+        first;
+      let ops = Estimator.operators scheme in
+      let scratch = Vertical.make_scratch lay.vt in
+      let rec go acc current size =
+        if size > cap || current = [] then acc
+        else begin
+          let n_candidates, next =
+            with_level_span ~size (fun () ->
+                Apriori.candidates_from
+                  ~frequent:(List.map (fun d -> d.itemset) current)
+                  ~size
+                |> level ~scratch ~ops ~table ~lay ~keep:passes ~size)
+          in
+          record_level ~size ~candidates:n_candidates
+            ~explored:(List.length next);
+          go (next :: acc) next (size + 1)
+        end
       in
-      explored := !explored @ next;
-      levels next (size + 1)
+      go [ first ] first 2
     end
   in
-  let first = if cap < 1 then [] else level_one ~scheme ~data ~keep:passes in
-  explored := first;
-  if cap >= 2 then levels first 2;
   let ordered =
-    List.sort (fun a b -> Itemset.compare a.itemset b.itemset) !explored
+    List.sort (fun a b -> Itemset.compare a.itemset b.itemset) (List.concat levels)
   in
   {
     discovered = List.filter (fun d -> d.est_support >= min_support -. eps) ordered;

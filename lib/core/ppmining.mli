@@ -34,6 +34,16 @@ val mine :
   result
 (** [sigma_slack] defaults to 2.0 (explore down to minsup - 2σ).
 
+    Level 1 pools per-size 2×2 inversions over one pass.  Levels ≥ 2 run
+    on the vertical counting engine: the randomized rows are transposed
+    once, laid out in size classes padded to word boundaries, each
+    candidate's support is counted per class with
+    {!Ppdm_mining.Vertical.count_into} over the class's word window, and
+    its observed partial counts follow by integer inclusion–exclusion
+    over the per-class supports of its subsets.  The counts are exact, so
+    every k ≥ 2 estimate is bit-identical to {!Estimator.estimate} on the
+    same itemset.
+
     [sigma_cap] (default [min_support / 2]) prunes candidates whose
     estimate carries no signal.  The default is exactly the paper's
     discoverability criterion (a support is discoverable when σ ≤ s/2):

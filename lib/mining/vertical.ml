@@ -244,14 +244,18 @@ let rec inter_tidsets a b =
 
 let item_tidset t item = t.tidsets.(item)
 
-let of_db ?(dense_cutoff = 1.0 /. float_of_int bits_per_word) db =
+let of_rows ?(dense_cutoff = 1.0 /. float_of_int bits_per_word) ?keep
+    ~universe ~n rows =
   if not (dense_cutoff >= 0.) then
     invalid_arg "Vertical.load: dense_cutoff must be >= 0";
   Ppdm_obs.Span.with_ ~name:"vertical.load" (fun () ->
-      let n = Db.length db in
-      let universe = Db.universe db in
+      let kept = match keep with None -> fun _ -> true | Some k -> k in
       let n_words = Bitset.words_for n in
-      let counts = Db.item_counts db in
+      let counts = Array.make universe 0 in
+      rows (fun _ tx ->
+          Itemset.iter
+            (fun x -> if kept x then counts.(x) <- counts.(x) + 1)
+            tx);
       let cutoff = dense_cutoff *. float_of_int n in
       let tidsets =
         Array.init universe (fun item ->
@@ -260,21 +264,35 @@ let of_db ?(dense_cutoff = 1.0 /. float_of_int bits_per_word) db =
             else Sparse (Array.make counts.(item) 0))
       in
       let cursor = Array.make (max universe 1) 0 in
-      Db.iteri
-        (fun tid tx ->
+      let differ () = invalid_arg "Vertical.of_rows: rows differ between passes" in
+      rows (fun tid tx ->
           let items = Itemset.unsafe_to_array tx in
           for idx = 0 to Array.length items - 1 do
-            match tidsets.(items.(idx)) with
-            | Dense words ->
-                let w = tid / bits_per_word in
-                words.(w) <- words.(w) lor (1 lsl (tid mod bits_per_word))
-            | Sparse tids ->
-                let item = items.(idx) in
-                tids.(cursor.(item)) <- tid;
-                cursor.(item) <- cursor.(item) + 1
-            | Col _ -> assert false (* of_db builds only plain shapes *)
-          done)
-        db;
+            let item = items.(idx) in
+            if kept item then
+              match tidsets.(item) with
+              | Dense words ->
+                  let w = tid / bits_per_word in
+                  words.(w) <- words.(w) lor (1 lsl (tid mod bits_per_word))
+              | Sparse tids ->
+                  if cursor.(item) = Array.length tids then differ ();
+                  tids.(cursor.(item)) <- tid;
+                  cursor.(item) <- cursor.(item) + 1
+              | Col _ -> assert false (* of_rows builds only plain shapes *)
+          done);
+      (* The iterator may visit tids out of order; a tid array must
+         ascend. *)
+      Array.iteri
+        (fun item -> function
+          | Sparse tids ->
+              if cursor.(item) <> Array.length tids then differ ();
+              let sorted = ref true in
+              for i = 1 to Array.length tids - 1 do
+                if tids.(i - 1) > tids.(i) then sorted := false
+              done;
+              if not !sorted then Array.sort Int.compare tids
+          | Dense _ | Col _ -> ())
+        tidsets;
       let t = { n; n_words; universe; tidsets; counts } in
       if Ppdm_obs.Metrics.enabled () then begin
         let dense = dense_items t in
@@ -292,6 +310,10 @@ let of_db ?(dense_cutoff = 1.0 /. float_of_int bits_per_word) db =
         Ppdm_obs.Metrics.add "vertical.load.bytes" (8 * words)
       end;
       t)
+
+let of_db ?dense_cutoff db =
+  of_rows ?dense_cutoff ~universe:(Db.universe db) ~n:(Db.length db)
+    (fun f -> Db.iteri f db)
 
 let load = of_db (* historic name *)
 

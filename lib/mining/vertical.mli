@@ -40,6 +40,23 @@ val of_db : ?dense_cutoff:float -> Db.t -> t
     is no larger than the tid array it replaces.
     @raise Invalid_argument if [dense_cutoff] is negative (or NaN). *)
 
+val of_rows :
+  ?dense_cutoff:float ->
+  ?keep:(int -> bool) ->
+  universe:int ->
+  n:int ->
+  ((int -> Itemset.t -> unit) -> unit) ->
+  t
+(** Transpose rows given by an iterator: [rows f] must call [f tid row]
+    for rows at distinct tids in [0..n-1], in any order (tids never
+    passed are empty rows), and must make the same calls each time — it
+    runs twice.
+    Items for which [keep] (default: all) is false are left out: their
+    tid-sets are empty and their counts 0.  {!of_db} is this over a
+    database's rows.
+    @raise Invalid_argument as {!of_db}, or when the second pass gives a
+    sparse item more or fewer rows than the first did. *)
+
 val load : ?dense_cutoff:float -> Db.t -> t
 (** Alias of {!of_db} (the historic name — [of_db] marks it as one
     constructor among several now that columns can also come from a

@@ -80,7 +80,7 @@ let sample_distinct rng ~k ~bound =
       out.(!idx) <- v;
       incr idx)
     chosen;
-  Array.sort compare out;
+  Array.sort Int.compare out;
   out
 
 let subset rng ~k arr =

@@ -10,6 +10,7 @@ type config = {
   linger_ns : int;
   queue_capacity : int;
   max_frame : int;
+  handshake_timeout_s : float;
   scheme : Randomizer.t;
   itemsets : Itemset.t list;
   admin_port : int option;
@@ -25,6 +26,7 @@ let default_config ~scheme ~itemsets =
     linger_ns = 0;
     queue_capacity = 4096;
     max_frame = Framing.default_max_frame;
+    handshake_timeout_s = 5.;
     scheme;
     itemsets;
     admin_port = None;
@@ -54,6 +56,8 @@ let validate config =
   if config.linger_ns < 0 then invalid_arg "Serve: negative linger";
   if config.queue_capacity < 1 then invalid_arg "Serve: queue capacity < 1";
   if config.max_frame < 16 then invalid_arg "Serve: max_frame < 16";
+  if not (config.handshake_timeout_s > 0.) then
+    invalid_arg "Serve: handshake timeout must be positive";
   if config.sampler_period_ns < 1_000_000 then
     invalid_arg "Serve: sampler period < 1ms";
   if config.itemsets = [] then invalid_arg "Serve: no tracked itemsets"
@@ -239,6 +243,7 @@ let serve_on listener ?admin sh =
       universe = Randomizer.universe config.scheme;
       itemsets = config.itemsets;
       max_frame = config.max_frame;
+      handshake_timeout_s = config.handshake_timeout_s;
       verify_scheme;
       snapshot = (fun ~flush -> shared_snapshot_json sh ~flush);
       request_shutdown = (fun () -> Atomic.set sh.stop true);

@@ -30,6 +30,11 @@ type config = {
   linger_ns : int;  (** how long a folder waits to fill a batch (0: none) *)
   queue_capacity : int;  (** per-shard queue bound (the backpressure knob) *)
   max_frame : int;  (** frame payload cap on every session *)
+  handshake_timeout_s : float;
+      (** how long a new session may wait for its [Hello]: past it the
+          server answers [Handshake_timeout], closes the socket and counts
+          [server.sessions.timed_out], so an idle connection cannot hold a
+          session worker.  Cleared once the handshake succeeds. *)
   scheme : Randomizer.t;  (** the operator clients must match *)
   itemsets : Itemset.t list;  (** tracked itemsets (estimates served) *)
   admin_port : int option;
@@ -43,7 +48,7 @@ type config = {
 
 val default_config : scheme:Randomizer.t -> itemsets:Itemset.t list -> config
 (** port 0, jobs 2, shards 2, batch 256, no linger, queue capacity 4096,
-    {!Framing.default_max_frame}, no admin plane,
+    {!Framing.default_max_frame}, a 5 s handshake deadline, no admin plane,
     1s sampler period. *)
 
 type stats = { reports : int; sessions : int }
@@ -57,7 +62,8 @@ val start : config -> t
     Sets SIGPIPE to ignored for the process, so a write to a peer that
     has already closed ends only that session (as [EPIPE]), never the
     server.
-    @raise Invalid_argument on a non-positive jobs/shards/batch/capacity.
+    @raise Invalid_argument on a non-positive jobs/shards/batch/capacity
+    or handshake timeout.
     @raise Unix.Unix_error if the port cannot be bound. *)
 
 val port : t -> int

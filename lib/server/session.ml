@@ -6,6 +6,7 @@ type config = {
   universe : int;
   itemsets : Itemset.t list;
   max_frame : int;
+  handshake_timeout_s : float;
   verify_scheme : Randomizer.t -> sizes:int list -> bool;
   snapshot : flush:bool -> string;
   request_shutdown : unit -> unit;
@@ -27,6 +28,12 @@ let send_error ~max_frame fd code detail =
   count_error code;
   ignore (send ~max_frame fd (Wire.Error { code; detail }))
 
+(* The handshake deadline is a receive timeout on the socket: a read that
+   waits longer fails with EAGAIN.  Zero clears it. *)
+let set_read_timeout fd seconds =
+  try Unix.setsockopt_float fd Unix.SO_RCVTIMEO seconds
+  with Unix.Unix_error _ -> ()
+
 (* What a received report may use, fixed at handshake time. *)
 type handshake = { allowed_sizes : (int, unit) Hashtbl.t }
 
@@ -39,6 +46,7 @@ let run config ~shards fd =
   let next_shard = ref 0 in
   let handshaken : handshake option ref = ref None in
   Ppdm_obs.Metrics.incr "server.sessions";
+  set_read_timeout fd config.handshake_timeout_s;
   let handle_hello ~version ~sizes ~scheme_text =
     if !handshaken <> None then begin
       send_error fd Wire.Protocol_violation "duplicate hello";
@@ -79,6 +87,8 @@ let run config ~shards fd =
           let allowed_sizes = Hashtbl.create 8 in
           List.iter (fun m -> Hashtbl.replace allowed_sizes m ()) sizes;
           handshaken := Some { allowed_sizes };
+          (* past the handshake, a session may idle *)
+          set_read_timeout fd 0.;
           if
             send fd
               (Wire.Welcome
@@ -146,6 +156,13 @@ let run config ~shards fd =
   in
   let rec loop () =
     match Framing.read ~max_frame:config.max_frame fd with
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+      when !handshaken = None ->
+        (* No hello within the deadline: free this worker for the
+           sessions queued behind it. *)
+        Ppdm_obs.Metrics.incr "server.sessions.timed_out";
+        send_error fd Wire.Handshake_timeout
+          (Printf.sprintf "no hello within %gs" config.handshake_timeout_s)
     | Error Framing.Closed -> ()
     | Error (Framing.Truncated _) ->
         (* The peer vanished mid-frame: nothing to answer, just count. *)

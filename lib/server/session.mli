@@ -11,7 +11,9 @@
     response and the session continues — a malformed frame, oversized
     length, or protocol violation earns a typed [Error] and the session
     ends.  [Snapshot_request] answers with the server's live estimate
-    JSON; [Shutdown] asks the server to stop and answers [Bye]. *)
+    JSON; [Shutdown] asks the server to stop and answers [Bye].  A
+    connection that sends no [Hello] within [handshake_timeout_s] earns
+    [Handshake_timeout] and the session ends. *)
 
 open Ppdm_data
 open Ppdm
@@ -21,6 +23,8 @@ type config = {
   universe : int;
   itemsets : Itemset.t list;
   max_frame : int;
+  handshake_timeout_s : float;
+      (** receive deadline for the [Hello]; cleared once it is accepted *)
   verify_scheme : Randomizer.t -> sizes:int list -> bool;
       (** [same_parameters] against the server scheme, serialized by the
           server's scheme lock (scheme resolution mutates a cache). *)

@@ -9,6 +9,7 @@ type error_code =
   | Scheme_mismatch
   | Item_out_of_universe
   | Size_not_covered
+  | Handshake_timeout
 
 let error_code_name = function
   | Frame_too_large -> "frame-too-large"
@@ -17,6 +18,7 @@ let error_code_name = function
   | Scheme_mismatch -> "scheme-mismatch"
   | Item_out_of_universe -> "item-out-of-universe"
   | Size_not_covered -> "size-not-covered"
+  | Handshake_timeout -> "handshake-timeout"
 
 let error_code_tag = function
   | Frame_too_large -> 1
@@ -25,6 +27,7 @@ let error_code_tag = function
   | Scheme_mismatch -> 4
   | Item_out_of_universe -> 5
   | Size_not_covered -> 6
+  | Handshake_timeout -> 7
 
 let error_code_of_tag = function
   | 1 -> Some Frame_too_large
@@ -33,6 +36,7 @@ let error_code_of_tag = function
   | 4 -> Some Scheme_mismatch
   | 5 -> Some Item_out_of_universe
   | 6 -> Some Size_not_covered
+  | 7 -> Some Handshake_timeout
   | _ -> None
 
 type message =

@@ -34,7 +34,9 @@ val protocol_version : int
 
 (** Typed error codes the server can answer with.  [Frame_too_large],
     [Bad_frame] and [Protocol_violation] are fatal (the server closes the
-    session after sending them); [Scheme_mismatch] rejects the handshake;
+    session after sending them); [Handshake_timeout] ends a session that
+    sent no [Hello] within the server's deadline; [Scheme_mismatch]
+    rejects the handshake;
     [Item_out_of_universe] and [Size_not_covered] reject one report and
     leave the session open. *)
 type error_code =
@@ -44,6 +46,7 @@ type error_code =
   | Scheme_mismatch
   | Item_out_of_universe
   | Size_not_covered
+  | Handshake_timeout
 
 val error_code_name : error_code -> string
 

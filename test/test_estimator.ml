@@ -243,6 +243,26 @@ let test_all_zero_size_class () =
   Alcotest.(check (float 1e-12)) "same sigma" only.Estimator.sigma e.Estimator.sigma;
   Alcotest.(check int) "n counts observed rows only" 100 e.Estimator.n_transactions
 
+let test_operator_memo_bit_identical () =
+  (* one memo reused across itemsets, sizes (square and rectangular) and
+     k must give the floats a fresh build gives *)
+  let scheme = Randomizer.cut_and_paste ~universe:20 ~cutoff:3 ~rho:0.1 in
+  let ops = Estimator.operators scheme in
+  let bits = Alcotest.testable (fun f x -> Format.fprintf f "%h" x) ( = ) in
+  List.iter
+    (fun (k, counts) ->
+      for _ = 1 to 2 do
+        let fresh = Estimator.estimate_from_counts ~scheme ~k ~counts in
+        let memo = Estimator.estimate_with ops ~k ~counts in
+        Alcotest.check bits "support" fresh.Estimator.support memo.Estimator.support;
+        Alcotest.check bits "sigma" fresh.Estimator.sigma memo.Estimator.sigma
+      done)
+    [
+      (2, [ (1, [| 50; 30; 5 |]); (4, [| 40; 40; 20 |]) ]);
+      (3, [ (0, [| 9; 3; 1; 0 |]); (4, [| 40; 30; 20; 10 |]) ]);
+      (2, [ (4, [| 60; 30; 10 |]); (6, [| 10; 10; 5 |]) ]);
+    ]
+
 let test_sampling_covariance () =
   let partials = [| 0.7; 0.2; 0.1 |] in
   (* no sampling -> exactly zero *)
@@ -347,4 +367,6 @@ let suite =
       test_estimate_from_counts_sampled;
     Alcotest.test_case "population widens predictions" `Quick
       test_population_widens_predictions;
+    Alcotest.test_case "operator memo bit-identical" `Quick
+      test_operator_memo_bit_identical;
   ]

@@ -341,6 +341,60 @@ let test_instrumentation_coverage () =
         [ "parallel.randomize"; "parallel.apriori"; "parallel.observe";
           "stream.estimate" ])
 
+(* The private miner reports where its time goes — a root span with one
+   child per level plus the transpose — and per-level candidate and
+   explored counts that match its result, without changing the result. *)
+let test_ppmining_instrumented () =
+  let universe = 30 in
+  let rng = Rng.create ~seed:19 () in
+  let db = Simple.fixed_size rng ~universe ~size:5 ~count:600 in
+  let scheme = Randomizer.uniform ~universe ~p_keep:0.8 ~p_add:0.02 in
+  let data = Randomizer.apply_db_tagged scheme rng db in
+  let mine () =
+    Ppmining.mine ~scheme ~data ~min_support:0.02 ~max_size:3 ~sigma_cap:1. ()
+  in
+  let show r =
+    String.concat ";"
+      (List.map
+         (fun d ->
+           Printf.sprintf "%s %h %h" (Itemset.to_string d.Ppmining.itemset)
+             d.Ppmining.est_support d.Ppmining.sigma)
+         r.Ppmining.explored)
+  in
+  let plain = show (mine ()) in
+  scoped (fun () ->
+      Metrics.set_enabled true;
+      let mined = mine () in
+      Alcotest.(check string) "same result with stats on" plain (show mined);
+      let snap = Metrics.snapshot () in
+      let counter name =
+        Option.value ~default:(-1) (List.assoc_opt name snap.Metrics.counters)
+      in
+      let explored k =
+        List.length
+          (List.filter
+             (fun d -> Itemset.cardinal d.Ppmining.itemset = k)
+             mined.Ppmining.explored)
+      in
+      Alcotest.(check int) "level-1 candidates" universe
+        (counter "ppmining.candidates.k1");
+      List.iter
+        (fun k ->
+          Alcotest.(check int)
+            (Printf.sprintf "explored k%d" k)
+            (explored k)
+            (counter (Printf.sprintf "ppmining.explored.k%d" k)))
+        [ 1; 2; 3 ];
+      Alcotest.(check bool) "level-2 candidates counted" true
+        (counter "ppmining.candidates.k2" >= explored 2 && explored 2 > 0);
+      match List.find_opt (fun s -> s.Span.name = "ppmining.mine") (Span.tree ()) with
+      | None -> Alcotest.fail "no ppmining.mine span"
+      | Some root ->
+          Alcotest.(check (list string)) "children"
+            [ "ppmining.level1"; "ppmining.level2"; "ppmining.level3";
+              "ppmining.load" ]
+            (List.map (fun s -> s.Span.name) root.Span.children))
+
 (* Span.with_ serves both layers off one flag word: with metrics and
    tracing both on, a span must land in the span tree and put a matched
    begin/end pair on the timeline. *)
@@ -384,4 +438,6 @@ let suite =
     Alcotest.test_case "instrumentation coverage" `Quick
       test_instrumentation_coverage;
     Alcotest.test_case "span feeds trace" `Quick test_span_feeds_trace;
+    Alcotest.test_case "private miner instrumented" `Quick
+      test_ppmining_instrumented;
   ]

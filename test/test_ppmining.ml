@@ -84,31 +84,124 @@ let test_explored_superset () =
   Alcotest.(check bool) "explored at least as large" true
     (List.length mined.Ppmining.explored >= List.length mined.Ppmining.discovered)
 
+let planted ~universe ~n ~pattern ~noise rng =
+  Db.create ~universe
+    (Array.init n (fun i ->
+         let extra = List.init (i mod 4) (fun _ -> Rng.int rng noise) in
+         if i mod 3 = 0 then Itemset.of_list extra
+         else Itemset.of_list (pattern @ extra)))
+
 let test_level_two_fast_path_consistency () =
-  (* the one-pass pair estimator must agree exactly with the generic
-     per-candidate estimator *)
+  (* the engine path (per-class counts, inclusion-exclusion) must agree
+     exactly with the generic per-candidate estimator at levels 2 and 3 *)
   let rng = Rng.create ~seed:6 () in
   let universe = 40 in
   let db = Quest.generate rng { Quest.default with n_transactions = 600; universe } in
   let scheme = Randomizer.cut_and_paste ~universe ~cutoff:6 ~rho:0.08 in
   let data = Randomizer.apply_db_tagged scheme rng db in
   let mined =
-    Ppmining.mine ~scheme ~data ~min_support:0.03 ~max_size:2 ~sigma_cap:1. ()
+    Ppmining.mine ~scheme ~data ~min_support:0.03 ~max_size:3 ~sigma_cap:1. ()
   in
-  let pairs =
-    List.filter (fun d -> Itemset.cardinal d.Ppmining.itemset = 2) mined.Ppmining.explored
+  let explored mined k =
+    List.filter (fun d -> Itemset.cardinal d.Ppmining.itemset = k) mined.Ppmining.explored
   in
-  Alcotest.(check bool) "some pairs explored" true (pairs <> []);
-  List.iter
-    (fun d ->
-      let direct = Estimator.estimate ~scheme ~data ~itemset:d.Ppmining.itemset in
-      Alcotest.(check (float 1e-9))
-        (Itemset.to_string d.Ppmining.itemset ^ " support")
-        direct.Estimator.support d.Ppmining.est_support;
-      Alcotest.(check (float 1e-9))
-        (Itemset.to_string d.Ppmining.itemset ^ " sigma")
-        direct.Estimator.sigma d.Ppmining.sigma)
-    pairs
+  let bits = Alcotest.testable (fun f x -> Format.fprintf f "%h" x) ( = ) in
+  let exact ~scheme ~data ds =
+    List.iter
+      (fun d ->
+        let direct = Estimator.estimate ~scheme ~data ~itemset:d.Ppmining.itemset in
+        Alcotest.check bits
+          (Itemset.to_string d.Ppmining.itemset ^ " support")
+          direct.Estimator.support d.Ppmining.est_support;
+        Alcotest.check bits
+          (Itemset.to_string d.Ppmining.itemset ^ " sigma")
+          direct.Estimator.sigma d.Ppmining.sigma)
+      ds
+  in
+  Alcotest.(check bool) "some pairs explored" true (explored mined 2 <> []);
+  exact ~scheme ~data (explored mined 2 @ explored mined 3);
+  (* level 3 needs co-occurring triples: plant one *)
+  let universe = 20 in
+  let db = planted ~universe ~n:600 ~pattern:[ 2; 7; 11 ] ~noise:universe rng in
+  let scheme = Randomizer.cut_and_paste ~universe ~cutoff:4 ~rho:0.05 in
+  let data = Randomizer.apply_db_tagged scheme rng db in
+  let mined =
+    Ppmining.mine ~scheme ~data ~min_support:0.1 ~max_size:3 ~sigma_cap:1. ()
+  in
+  Alcotest.(check bool) "some triples explored" true (explored mined 3 <> []);
+  exact ~scheme ~data (explored mined 2 @ explored mined 3)
+
+(* The engine path against the per-candidate scan, on the shapes the
+   layout has to get right. *)
+let scan_case ~name ?(max_size = 3) ?(min_support = 0.1) ~scheme db =
+  let rng = Rng.create ~seed:(Db.length db) () in
+  let data = Randomizer.apply_db_tagged scheme rng db in
+  let explored =
+    List.length
+      (Ppmining.mine ~max_size ~sigma_cap:1. ~scheme ~data ~min_support ())
+        .Ppmining.explored
+  in
+  let verdict =
+    Ppdm_check.Oracle.ppmining_matches_scan ~max_size ~sigma_cap:1. ~scheme
+      ~data ~min_support ()
+  in
+  Alcotest.(check bool) (name ^ ": explores beyond level 1") true (explored > 0);
+  match verdict with Ok () -> () | Error e -> Alcotest.fail (name ^ ": " ^ e)
+
+let test_engine_matches_scan () =
+  let rng = Rng.create ~seed:21 () in
+  (* universe > 1024: the old sparse level-2 path *)
+  let universe = 1100 in
+  let noise_items = List.init 6 (fun i -> 1040 + i) in
+  let db =
+    Db.create ~universe
+      (Array.init 300 (fun i ->
+           Itemset.of_list
+             ((if i mod 2 = 0 then [ 1050; 1051; 1090 ] else [ 1051 ])
+             @ [ List.nth noise_items (i mod 6) ])))
+  in
+  scan_case ~name:"universe 1100"
+    ~scheme:(Randomizer.cut_and_paste ~universe ~cutoff:3 ~rho:0.001)
+    db;
+  (* itemsets up to size 4: 4-subset inclusion-exclusion *)
+  let db = planted ~universe:12 ~n:400 ~pattern:[ 1; 2; 3; 4 ] ~noise:12 rng in
+  scan_case ~name:"max size 4" ~max_size:4
+    ~scheme:(Randomizer.uniform ~universe:12 ~p_keep:0.85 ~p_add:0.05)
+    db;
+  (* size-0 rows (every third row of [planted] is empty or nearly so) and
+     classes of 1..3 rows, none a multiple of 62 *)
+  let db =
+    Db.append
+      (Db.create ~universe:10 (Array.make 7 Itemset.empty))
+      (planted ~universe:10 ~n:187 ~pattern:[ 0; 5 ] ~noise:10 rng)
+  in
+  scan_case ~name:"size-0 rows"
+    ~scheme:(Randomizer.cut_and_paste ~universe:10 ~cutoff:3 ~rho:0.1)
+    db;
+  (* surviving items and pairs below the dense cutoff (1/62 of the
+     rows): their tid-sets are sparse arrays, filled in data order, which
+     interleaves the two size classes *)
+  let db =
+    Db.create ~universe:300
+      (Array.init 620 (fun i ->
+           Itemset.of_list
+             ([ 100 + (i mod 70); 200 + (i mod 70) ]
+             @ if i mod 3 = 0 then [ i mod 7; 7 + (i mod 5) ] else [])))
+  in
+  scan_case ~name:"sparse survivors" ~max_size:2 ~min_support:0.008
+    ~scheme:(Randomizer.uniform ~universe:300 ~p_keep:0.95 ~p_add:0.0005)
+    db;
+  (* one size class *)
+  let db =
+    Db.create ~universe:10
+      (Array.init 250 (fun i ->
+           Itemset.of_list
+             (if i mod 2 = 0 then [ 0; 1; 2 ] else [ i mod 10; (i + 3) mod 10; (i + 6) mod 10 ])))
+  in
+  Alcotest.(check int) "one size class" 1 (List.length (Db.size_histogram db));
+  scan_case ~name:"single size class"
+    ~scheme:(Randomizer.uniform ~universe:10 ~p_keep:0.8 ~p_add:0.1)
+    db
 
 let test_sigma_cap_prunes () =
   (* with a tiny cap nothing noisy survives *)
@@ -162,4 +255,6 @@ let suite =
     Alcotest.test_case "sigma cap prunes" `Quick test_sigma_cap_prunes;
     Alcotest.test_case "accuracy bookkeeping" `Quick test_accuracy_bookkeeping;
     Alcotest.test_case "validation" `Quick test_validation;
+    Alcotest.test_case "engine matches per-candidate scan" `Quick
+      test_engine_matches_scan;
   ]

@@ -22,6 +22,7 @@ let all_error_codes =
     Wire.Scheme_mismatch;
     Wire.Item_out_of_universe;
     Wire.Size_not_covered;
+    Wire.Handshake_timeout;
   ]
 
 (* Every message kind, fields drawn from their full encodable ranges
@@ -53,7 +54,8 @@ let message_gen =
       | _ ->
           Wire.Error
             {
-              code = List.nth all_error_codes (num mod 6);
+              code =
+                List.nth all_error_codes (num mod List.length all_error_codes);
               detail = text;
             })
     raw
@@ -351,6 +353,26 @@ let test_queued_client_disconnect () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* An idle connection on a one-worker server is timed out at the
+   handshake deadline, the session behind it is served, and the timeout
+   is counted. *)
+let test_idle_connection_times_out () =
+  let module Metrics = Ppdm_obs.Metrics in
+  let was = Metrics.enabled () in
+  Metrics.reset ();
+  Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled was;
+      Metrics.reset ())
+    (fun () ->
+      (match Fault.server_idle_connection_times_out () with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      Alcotest.(check (option int)) "server.sessions.timed_out" (Some 1)
+        (List.assoc_opt "server.sessions.timed_out"
+           (Metrics.snapshot ()).Metrics.counters))
+
 (* [Client.connect] to a port nobody listens on gives up with its typed
    error once the retries run out. *)
 let test_connect_refused () =
@@ -460,4 +482,6 @@ let suite =
       test_queued_client_disconnect;
     Alcotest.test_case "connect to a closed port fails typed" `Quick
       test_connect_refused;
+    Alcotest.test_case "idle connection times out at the handshake" `Quick
+      test_idle_connection_times_out;
   ]

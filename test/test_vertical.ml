@@ -457,6 +457,54 @@ let test_scratch_zero_alloc_steady_state () =
         "bytes-touched counter ticks" true
         (counter "vertical.words.touched" > 0))
 
+let test_of_rows_out_of_order () =
+  (* rows visited in reverse tid order, one item filtered out, tids past
+     the visited ones left empty: counts equal of_db on the filtered
+     rows, with items 6 and 7 (3 rows of 200 each) sparse and the rest
+     dense *)
+  let rows =
+    Array.init 130 (fun i ->
+        Itemset.of_list
+          ([ i mod 3; 3 + (i mod 2); 5 ]
+          @ (if i mod 50 = 0 then [ 6 ] else [])
+          @ if i mod 45 = 0 then [ 7 ] else []))
+  in
+  let keep x = x <> 1 in
+  let n = 200 in
+  let vt =
+    Vertical.of_rows ~keep ~universe:8 ~n (fun f ->
+        for tid = Array.length rows - 1 downto 0 do
+          f tid rows.(tid)
+        done)
+  in
+  let expected =
+    Vertical.of_db
+      (Db.create ~universe:8
+         (Array.init n (fun tid ->
+              if tid < Array.length rows then
+                Itemset.of_list (List.filter keep (Itemset.to_list rows.(tid)))
+              else Itemset.empty)))
+  in
+  Alcotest.(check int) "length" n (Vertical.length vt);
+  Alcotest.(check bool) "item 6 is sparse" false
+    (Vertical.tidset_is_dense (Vertical.item_tidset vt 6));
+  Alcotest.(check int) "filtered item absent" 0 (Vertical.item_count vt 1);
+  let candidates =
+    List.map Itemset.of_list
+      [ [ 0 ]; [ 1 ]; [ 6 ]; [ 0; 6 ]; [ 2; 4; 6 ]; [ 0; 1 ]; [ 3; 5 ]; [ 6; 7 ] ]
+  in
+  check_same_result "counts" (Vertical.support_counts expected candidates)
+    (Vertical.support_counts vt candidates);
+  (* an iterator whose two passes differ is refused, not miscounted *)
+  let passes = ref 0 in
+  let drifting f =
+    incr passes;
+    Array.iteri (fun tid row -> if !passes = 1 || tid > 0 then f tid row) rows
+  in
+  Alcotest.check_raises "passes differ"
+    (Invalid_argument "Vertical.of_rows: rows differ between passes")
+    (fun () -> ignore (Vertical.of_rows ~universe:8 ~n drifting))
+
 let suite =
   [
     Alcotest.test_case "adaptive representation choice" `Quick
@@ -484,4 +532,6 @@ let suite =
       test_eclat_hybrid_parity;
     Alcotest.test_case "warm scratch allocates nothing" `Quick
       test_scratch_zero_alloc_steady_state;
+    Alcotest.test_case "of_rows: any tid order, filtered items" `Quick
+      test_of_rows_out_of_order;
   ]
